@@ -7,22 +7,16 @@
 // host injection, a bottleneck queue (enqueue + dequeue under the chosen
 // discipline), a transmit-complete event and the sink hand-off.  Rows
 // sweep 3 disciplines x {16, 256, 4096} concurrently active flows — the
-// flow count sets the simulator's pending-event population, which is the
-// regime knob the event core's backend responds to.
+// flow count sets the simulator's pending-event population.
 //
 // Offered load is pinned at 90% of the bottleneck so the pipeline stays
 // busy end to end without drowning in drops; per-flow rate scales down as
 // flows scale up, keeping total offered (and hence the per-row event
-// budget) comparable across pending sizes.
-//
-// ISPN_E2E_BACKEND=heap|wheel|auto (default auto) forces the event
-// backend, so before/after labels for the ordering structure can be
-// recorded with the same binary.  Results append to BENCH_e2e.json.
+// budget) comparable across pending sizes.  Results append to
+// BENCH_e2e.json.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -42,14 +36,6 @@ namespace {
 
 using namespace ispn;
 
-sim::EventBackend backend_from_env() {
-  const char* env = std::getenv("ISPN_E2E_BACKEND");
-  if (env == nullptr) return sim::EventBackend::kAuto;
-  if (std::strcmp(env, "heap") == 0) return sim::EventBackend::kHeap;
-  if (std::strcmp(env, "wheel") == 0) return sim::EventBackend::kWheel;
-  return sim::EventBackend::kAuto;
-}
-
 /// Counts deliveries; packets return to their pool immediately.
 class CountSink final : public net::FlowSink {
  public:
@@ -67,7 +53,7 @@ bench::MicroResult run_pipeline(int flows,
                                 const net::SchedulerFactory& make_scheduler,
                                 const std::function<void(sched::Scheduler&,
                                                          int)>& configure) {
-  net::Network net(backend_from_env());
+  net::Network net;
   const auto topo = net::build_dumbbell(net, kBottleneck, make_scheduler);
   net::Host& src_host = net.host(topo.left_host);
 
@@ -121,7 +107,7 @@ bench::MicroResult run_pipeline(int flows,
 bench::MicroResult run_pipeline_sharded(
     int flows, int shards, const net::SchedulerFactory& make_scheduler,
     const std::function<void(sched::Scheduler&, int)>& configure) {
-  net::Network net(backend_from_env());
+  net::Network net;
   net.enable_sharding(0.001);
   const auto topo = net::build_dumbbell(net, kBottleneck, make_scheduler);
   net::Host& src_host = net.host(topo.left_host);

@@ -10,11 +10,8 @@
 //   medium  32-byte capture — multi-pointer closures (tracer, measurement)
 //   large   64-byte capture — cold-path escape hatch (heap-boxed)
 //
-// All wheel_* rows run the default EventBackend::kAuto (heap below 64
-// pending, timing wheel above); event_heap / event_wheel pin the pure
-// backends on the small shape so both stay measured across the
-// trajectory, and timer_rearm measures the persistent-timer path that
-// ports and sources use (one slab slot for life, re-arm = key insert).
+// timer_rearm measures the persistent-timer path that ports and sources
+// use (one slab slot for life, re-arm = key insert).
 //
 // Results are appended to BENCH_event_core.json (see bench/common.h).
 
@@ -35,9 +32,8 @@ using namespace ispn;
 /// earliest and schedules one more `horizon` seconds out.
 template <typename MakeAction>
 void wheel(bench::JsonReporter& report, const std::string& name, int pending,
-           MakeAction make_action,
-           sim::EventBackend backend = sim::EventBackend::kAuto) {
-  sim::Simulator sim(backend);
+           MakeAction make_action) {
+  sim::Simulator sim;
   std::uint64_t fired = 0;
   const double horizon = 1e-3 * pending;
   for (int i = 0; i < pending; ++i) {
@@ -123,11 +119,6 @@ int main() {
       } cap{&fired, {}};
       return [cap] { ++*cap.a; };
     });
-  }
-  // Pure backends, kept measured so the trajectory shows both curves.
-  for (int pending : {256, 4096}) {
-    wheel(report, "event_heap", pending, small, sim::EventBackend::kHeap);
-    wheel(report, "event_wheel", pending, small, sim::EventBackend::kWheel);
   }
   for (int pending : {256, 4096}) timer_wheel(report, pending);
   cancel_wheel(report, 256);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local pre-push gate / CI entry point: configure + build + ctest + a short
-# bench smoke.  Usage: scripts/check.sh [build-dir]
+# bench smoke + the bench_ispn smoke.  Usage: scripts/check.sh [build-dir]
 #
 # The bench smoke runs the two engine microbenches with a tiny wall-time
 # budget (and the table-1 bench with a 2-second simulated run) purely to
@@ -30,15 +30,12 @@ echo "== scenario smoke =="
 "$BUILD_DIR/scenario_run" --preset fan_in --scale smoke arrival_rate=0 target_flows=8 >/dev/null
 "$BUILD_DIR/scenario_run" --preset parking_lot --scale smoke arrival_rate=0 target_flows=12 >/dev/null
 "$BUILD_DIR/scenario_run" --preset churn --scale smoke run_seconds=2 >/dev/null
-# Failure preset under both event backends: explicit failures (so the
-# 2-second smoke really takes links down) must reroute, rebalance the
-# ledger (failed_link_drops bucket) and exit 0 — on the wheel as on the
-# heap.
-for eb in heap wheel; do
-  "$BUILD_DIR/scenario_run" --preset failure run_seconds=2 \
-    link_failure_rate=0 event_backend="$eb" \
-    --fail-link 0:2@0.5,up@1.4 --fail-link 6:8@0.9 >/dev/null
-done
+# Failure preset: explicit failures (so the 2-second smoke really takes
+# links down) must reroute, rebalance the ledger (failed_link_drops
+# bucket) and exit 0.
+"$BUILD_DIR/scenario_run" --preset failure run_seconds=2 \
+  link_failure_rate=0 \
+  --fail-link 0:2@0.5,up@1.4 --fail-link 6:8@0.9 >/dev/null
 # Sharded parallel core at 1 and 4 workers: any worker count must produce
 # the identical report (test_shard_diff proves byte-identity; this smoke
 # catches CLI/runner wiring and threading crashes in a plain build).
@@ -77,5 +74,12 @@ ISPN_BENCH_MICRO_SECONDS=0.02 "$BUILD_DIR/bench_e2e" >/dev/null
 ISPN_BENCH_MICRO_SECONDS=0.02 ISPN_BENCH_MAX_FLOWS=16384 \
   "$BUILD_DIR/bench_scenario" >/dev/null
 ISPN_BENCH_SECONDS=2 "$BUILD_DIR/bench_table1" >/dev/null
+
+echo "== bench_ispn smoke =="
+# The repeatable benchmark's own smoke: every workload at 1/20 of its
+# horizon with every correctness check on (conservation, invariants,
+# Parekh-Gallager bound, sim_digest across repeats and worker counts).
+# It builds into .bench_build/ and writes no result files.
+bench_ispn/smoke.sh >/dev/null
 
 echo "OK"

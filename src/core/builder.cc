@@ -9,7 +9,6 @@ namespace ispn::core {
 
 IspnNetwork::IspnNetwork(Config config)
     : config_(std::move(config)),
-      net_(config_.event_backend),
       admission_(config_.admission) {
   assert(!config_.class_targets.empty());
   assert(std::is_sorted(config_.class_targets.begin(),

@@ -64,10 +64,9 @@ class IspnNetwork {
         LinkMeasurement::Estimator::kPeakEpoch;
     double measurement_ewma_gain = 0.25;
     std::uint64_t seed = 1;
-    /// Engine knobs: both are pure performance choices — every backend
-    /// yields byte-identical schedules (differential harnesses, PR 3/4,
+    /// Virtual-time ordering structure: a pure performance choice — every
+    /// backend yields byte-identical schedules (test_order_backend_diff
     /// and the scenario golden-trace suite).
-    sim::EventBackend event_backend = sim::EventBackend::kAuto;
     sched::OrderBackend order_backend = sched::OrderBackend::kAuto;
     /// Two-level aggregate scheduling on every link (see
     /// sched::UnifiedScheduler::Config::hierarchical): per-link state

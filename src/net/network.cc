@@ -75,7 +75,7 @@ Switch& Network::add_switch(const std::string& name) {
     // decomposition, only how domains map onto threads.
     domain_of_[id] = static_cast<int>(domains_.size());
     Domain d;
-    d.sim = std::make_unique<sim::Simulator>(backend_);
+    d.sim = std::make_unique<sim::Simulator>();
     d.pool = std::make_unique<PacketPool>();
     d.pool->enable_concurrent_returns();
     domains_.push_back(std::move(d));

@@ -55,11 +55,7 @@ using LinkSchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>(
 
 class Network {
  public:
-  /// `backend` selects the simulator's event-ordering structure; every
-  /// backend produces the identical packet schedule (proven by
-  /// tests/test_event_backend_diff.cc), so it is purely a perf knob.
-  explicit Network(sim::EventBackend backend = sim::EventBackend::kAuto)
-      : sim_(backend), backend_(backend) {}
+  Network() = default;
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -250,7 +246,6 @@ class Network {
   };
 
   sim::Simulator sim_;
-  sim::EventBackend backend_;
   // Declared BEFORE nodes_: destruction runs in reverse, and Port
   // destructors release timers into their domain's event queue and
   // packets into their domain's pool — both must outlive every node.

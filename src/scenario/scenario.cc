@@ -233,7 +233,6 @@ core::IspnNetwork::Config ScenarioSpec::network_config() const {
   cfg.measurement_estimator = measurement_estimator;
   cfg.measurement_ewma_gain = measurement_ewma_gain;
   cfg.seed = seed;
-  cfg.event_backend = event_backend;
   cfg.order_backend = order_backend;
   cfg.sharded = shards >= 1;
   cfg.link_latency = link_latency;
@@ -568,11 +567,6 @@ void apply_override(ScenarioSpec& spec, const std::string& key,
     spec.shards = parse_int(key, value);
   } else if (key == "link_latency") {
     spec.link_latency = parse_double(key, value);
-  } else if (key == "event_backend") {
-    if (value == "heap") spec.event_backend = sim::EventBackend::kHeap;
-    else if (value == "wheel") spec.event_backend = sim::EventBackend::kWheel;
-    else if (value == "auto") spec.event_backend = sim::EventBackend::kAuto;
-    else fail(key, "unknown event backend for");
   } else if (key == "hierarchical") {
     spec.hierarchical = parse_bool(key, value);
   } else if (key == "order_backend") {

@@ -3,7 +3,7 @@
 // A ScenarioSpec describes one complete experiment beyond the paper's
 // fixed Figure-1 runs: a fabric (scaled-up chain, fan-in/fan-out
 // aggregation tree, or multi-bottleneck parking lot with per-hop
-// entry/exit traffic), an engine configuration (event/order backends,
+// entry/exit traffic), an engine configuration (order backend,
 // buffer sizes, link rates), an admission-control configuration
 // (measurement-based by default — the paper's design), and a workload of
 // flows that ARRIVE OVER SIMULATED TIME with FlowSpecs, get admitted or
@@ -187,7 +187,6 @@ struct ScenarioSpec {
   double measurement_ewma_gain = 0.25;
 
   // ---- engine ----------------------------------------------------------
-  sim::EventBackend event_backend = sim::EventBackend::kAuto;
   sched::OrderBackend order_backend = sched::OrderBackend::kAuto;
   /// Two-level aggregate scheduling: per-link scheduler state bounded by
   /// {guaranteed flows, K classes, datagram} instead of per-flow — the

@@ -21,26 +21,12 @@ bool EventQueue::cancel(EventId id) {
 }
 
 const EventQueue::Key* EventQueue::drop_stale() {
-  if (on_wheel_) {
-    for (;;) {
-      const Key* k = wheel_.peek();
-      if (k != nullptr && key_live(*k)) return k;
-      assert(k != nullptr && "live_ > 0 but wheel empty");
-      wheel_.pop_front();
-    }
-  }
   for (;;) {
-    assert(!heap_.empty() && "live_ > 0 but heap empty");
-    if (key_live(heap_.top())) return &heap_.top();
-    heap_.pop();
+    const Key* k = wheel_.peek();
+    assert(k != nullptr && "live_ > 0 but wheel empty");
+    if (key_live(*k)) return k;
+    wheel_.pop_front();
   }
-}
-
-void EventQueue::migrate_to_wheel() {
-  wheel_.reset(tick_of(last_pop_time_));
-  for (const Key& k : heap_.raw()) wheel_.insert(k, tick_of(k.time));
-  heap_.clear();
-  on_wheel_ = true;
 }
 
 void EventQueue::escalate_resolution() {
@@ -79,30 +65,28 @@ bool EventQueue::pop_if_before(Time end, bool inclusive, Fired& out) {
 }
 
 EventQueue::Fired EventQueue::pop_front_live() {
-  const Key k = on_wheel_ ? wheel_.pop_front() : heap_.pop();
+  const Key k = wheel_.pop_front();
   assert(key_live(k));
-  if (on_wheel_) {
-    // Overlap upcoming events' slab-slot DRAM misses with the current
-    // event's execution: at a million pending timers the slab is far
-    // beyond cache and the very next access to it is the key_live() /
-    // dispatch load for the entry now at the run head.  Two entries deep:
-    // the +1 slot is needed within one event (~hundreds of ns), the +2
-    // prefetch gets two full events of lead.  Pure hints; ordering and
-    // observable state are untouched.
-    if (const Key* nk = wheel_.peek_ready()) {
-      // The hint one pop ago covered nk's slot line, so reading it now is
-      // usually cache-warm; chase one level deeper and warm the
-      // persistent action it will invoke (the timer callback living
-      // inside a source object — cold at million-flow scale).
-      const Slot& ns = slots_[nk->slot];
-      if (ns.persistent && ns.external != nullptr) {
-        __builtin_prefetch(ns.external);
-      }
-      // And hint the slot after it, giving that line a full event of
-      // lead before its own read above.
-      if (const Key* nk2 = wheel_.peek_ready(1)) {
-        __builtin_prefetch(&slots_[nk2->slot]);
-      }
+  // Overlap upcoming events' slab-slot DRAM misses with the current
+  // event's execution: at a million pending timers the slab is far beyond
+  // cache and the very next access to it is the key_live() / dispatch
+  // load for the entry now at the run head.  Two entries deep: the +1 slot
+  // is needed within one event (~hundreds of ns), the +2 prefetch gets two
+  // full events of lead.  Pure hints; ordering and observable state are
+  // untouched.
+  if (const Key* nk = wheel_.peek_ready()) {
+    // The hint one pop ago covered nk's slot line, so reading it now is
+    // usually cache-warm; chase one level deeper and warm the persistent
+    // action it will invoke (the timer callback living inside a source
+    // object — cold at million-flow scale).
+    const Slot& ns = slots_[nk->slot];
+    if (ns.persistent && ns.external != nullptr) {
+      __builtin_prefetch(ns.external);
+    }
+    // And hint the slot after it, giving that line a full event of lead
+    // before its own read above.
+    if (const Key* nk2 = wheel_.peek_ready(1)) {
+      __builtin_prefetch(&slots_[nk2->slot]);
     }
   }
   Slot& s = slots_[k.slot];
@@ -119,12 +103,6 @@ EventQueue::Fired EventQueue::pop_front_live() {
     release_slot(k.slot);
   }
   --live_;
-  if (live_ == 0 && backend_ == EventBackend::kAuto && on_wheel_) {
-    // Free reset point: nothing live to migrate, so drop any stale keys
-    // and fall back to the heap (the better backend while small).
-    wheel_.reset(tick_of(last_pop_time_));
-    on_wheel_ = false;
-  }
   return fired;
 }
 

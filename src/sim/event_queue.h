@@ -12,21 +12,12 @@
 //     no cancelled-id set to probe on every pop, and a cancelled id can
 //     never leak (the stale ordering key is discarded by generation
 //     mismatch when it surfaces).
-//   * Ordering lives in one of two interchangeable backends holding small
-//     (time, seq, slot, gen) keys:
-//       - EventBackend::kHeap  — a 4-ary min-heap; O(log n) sift, the
-//         better constant below a few dozen pending events;
-//       - EventBackend::kWheel — a hierarchical timing wheel
-//         (util/timing_wheel.h); O(1) insert with lazy cascade, the
-//         winner at the hundreds-to-thousands of pending events that
-//         multi-hop Table runs keep in flight;
-//       - EventBackend::kAuto  — starts on the heap, migrates every key
-//         to the wheel when the pending count first exceeds
-//         kAutoWheelThreshold, and falls back to the heap when the queue
-//         drains empty (a free reset point: nothing to migrate).
-//     Both backends pop in the identical (time, seq) total order — proven
-//     byte-for-byte by tests/test_event_backend_diff.cc — so the knob is
-//     purely a performance choice.
+//   * Ordering lives in a hierarchical timing wheel (util/timing_wheel.h)
+//     holding small (time, seq, slot, gen) keys: O(1) insert with lazy
+//     cascade, and pops in exact (time, seq) order through a sorted run per
+//     tick.  The event-core differential test replays seeded op streams
+//     through the queue and through an ordered-map reference model and
+//     requires identical firing sequences.
 //   * Actions are InlineAction: closures up to 48 bytes are stored in the
 //     slot itself; larger ones heap-box once (the cold-path escape hatch).
 //   * Persistent timers (sim/timer.h) occupy a slab slot for their whole
@@ -50,7 +41,6 @@
 
 #include "sim/inline_action.h"
 #include "sim/units.h"
-#include "util/dary_heap.h"
 #include "util/timing_wheel.h"
 
 namespace ispn::sim {
@@ -70,16 +60,12 @@ using TimerSlot = std::uint32_t;
 /// Sentinel for "no timer slot".
 inline constexpr TimerSlot kInvalidTimerSlot = ~TimerSlot{0};
 
-/// Real-time ordering structure; see the header comment for the trade-off.
-enum class EventBackend : std::uint8_t { kHeap, kWheel, kAuto };
-
 /// Slab-allocated timed-event queue with stable same-time ordering, O(1)
-/// cancel, and a heap or timing-wheel ordering backend.  Not thread-safe:
-/// the simulator is single-threaded by design.
+/// cancel, and timing-wheel ordering.  Not thread-safe: the simulator is
+/// single-threaded by design.
 class EventQueue {
  public:
-  explicit EventQueue(EventBackend backend = EventBackend::kAuto)
-      : backend_(backend), on_wheel_(backend == EventBackend::kWheel) {}
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -175,16 +161,6 @@ class EventQueue {
   /// reuse and leak-freedom through these).
   [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
   [[nodiscard]] std::size_t free_slots() const { return free_.size(); }
-
-  /// The backend requested at construction / the structure currently
-  /// holding the keys (kAuto migrates between the two).
-  [[nodiscard]] EventBackend backend() const { return backend_; }
-  [[nodiscard]] EventBackend active_backend() const {
-    return on_wheel_ ? EventBackend::kWheel : EventBackend::kHeap;
-  }
-
-  /// kAuto's heap -> wheel migration point (pending count).
-  static constexpr std::size_t kAutoWheelThreshold = 64;
 
   /// Current wheel tick resolution (escalates under load; diagnostic).
   [[nodiscard]] double ticks_per_sec() const { return ticks_per_sec_; }
@@ -284,24 +260,12 @@ class EventQueue {
   }
 
   void push_key(const Key& k) {
-    if (!on_wheel_ && backend_ == EventBackend::kAuto &&
-        live_ >= kAutoWheelThreshold) {
-      migrate_to_wheel();
+    if (live_ >= adapt_at_ && wheel_.max_run_length() >= kCrowdedRun &&
+        ticks_per_sec_ < kMaxTicksPerSec) {
+      escalate_resolution();
     }
-    if (on_wheel_) {
-      if (live_ >= adapt_at_ && wheel_.max_run_length() >= kCrowdedRun &&
-          ticks_per_sec_ < kMaxTicksPerSec) {
-        escalate_resolution();
-      }
-      wheel_.insert(k, tick_of(k.time));
-    } else {
-      heap_.push(k);
-    }
+    wheel_.insert(k, tick_of(k.time));
   }
-
-  /// Moves every key from the heap onto the wheel (kAuto upgrade).  Stale
-  /// keys migrate too and are skimmed as usual when they surface.
-  void migrate_to_wheel();
 
   /// Raises the wheel resolution x64 and re-files every pending key under
   /// the finer tick map (occupancy crossed adapt_at_ while a crowded
@@ -320,10 +284,7 @@ class EventQueue {
 
   std::vector<Slot> slots_;         // slab; addressed by index only
   std::vector<std::uint32_t> free_;
-  util::DaryHeap<Key, KeyLess, 4> heap_;
   Wheel wheel_;
-  EventBackend backend_ = EventBackend::kAuto;
-  bool on_wheel_ = false;
   double ticks_per_sec_ = kBaseTicksPerSec;
   std::size_t adapt_at_ = kAdaptOccupancy;  // x64 after each escalation
   Time last_pop_time_ = 0;

@@ -6,17 +6,8 @@
 
 namespace ispn::sim {
 
-std::uint64_t SteppingWindowSync::next_window(std::uint64_t current,
-                                             Time t_min,
-                                             Duration window) const {
-  // Stay in the current window while the earliest event is inside it.
-  return t_min < static_cast<Time>(current + 1) * window ? current
-                                                         : current + 1;
-}
-
-std::uint64_t SkippingWindowSync::next_window(std::uint64_t current,
-                                             Time t_min,
-                                             Duration window) const {
+std::uint64_t next_window(std::uint64_t current, Time t_min,
+                          Duration window) {
   const double idx = std::floor(t_min / window);
   if (idx <= static_cast<double>(current)) return current;
   // floor() slop can only land us EARLY (an extra empty round), never past
@@ -66,7 +57,7 @@ int ShardedEngine::step_round(Time bound) {
   // 3. Find the next non-empty window.
   const Time t = min_next();
   if (t >= kTimeInfinity) return 0;  // fully quiescent
-  m_ = sync_->next_window(m_, t, window_);
+  m_ = next_window(m_, t, window_);
   const Time start = static_cast<Time>(m_) * window_;
   assert(t >= start - 1e-12 && "sync skipped past a pending event");
   if (start > bound) return 2;  // beyond the caller's horizon

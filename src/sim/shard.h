@@ -12,9 +12,8 @@
 //        (admission, failures, reroutes — anything that touches global
 //        state executes here, between windows, never concurrently with
 //        domain work);
-//     3. advance to the next non-empty window (SkippingWindowSync jumps
-//        over empty ones; SteppingWindowSync walks one at a time — both
-//        must agree on results, only on the number of empty rounds);
+//     3. advance to the next non-empty window (next_window jumps over
+//        empty ones);
 //     4. run every domain in parallel through [m*W, (m+1)*W) with
 //        Simulator::run_before — strictly less than the barrier, so a
 //        packet that finishes transmitting at t in the window arrives
@@ -35,8 +34,7 @@
 // switch within two hops of most others), so per-link credit messages
 // approach all-to-all chatter with the same effective horizon the barrier
 // gives; the barrier costs two condvar sweeps per window, is trivially
-// deterministic, and keeps the hot path allocation-free.  The ShardSync
-// interface keeps the window-advance policy swappable and unit-testable.
+// deterministic, and keeps the hot path allocation-free.
 
 #pragma once
 
@@ -52,37 +50,15 @@
 
 namespace ispn::sim {
 
-/// Window-advance policy: given the current window index and the earliest
-/// pending event time across all domains, returns the window index to
-/// execute next.  Implementations must never return a window whose start
-/// lies after `t_min` (events may not be skipped) and never go backwards.
-class ShardSync {
- public:
-  virtual ~ShardSync() = default;
-  virtual std::uint64_t next_window(std::uint64_t current, Time t_min,
-                                    Duration window) const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Walks the window grid one step at a time: next is `current` while the
-/// earliest event is still inside it, else `current + 1`.  The reference
-/// policy — obviously correct, possibly slow across idle gaps.
-class SteppingWindowSync final : public ShardSync {
- public:
-  std::uint64_t next_window(std::uint64_t current, Time t_min,
-                            Duration window) const override;
-  const char* name() const override { return "stepping"; }
-};
-
-/// Jumps straight to the window containing the earliest pending event.
-/// Floating-point floor slop can land one window early (costing one empty
-/// round), never late (which would skip events) — pinned by unit test.
-class SkippingWindowSync final : public ShardSync {
- public:
-  std::uint64_t next_window(std::uint64_t current, Time t_min,
-                            Duration window) const override;
-  const char* name() const override { return "skipping"; }
-};
+/// Window advance: given the current window index and the earliest pending
+/// event time across all domains, returns the index of the window to
+/// execute next — the one containing `t_min`, skipping empty windows.
+/// Never goes backwards, and never returns a window whose start lies after
+/// `t_min` (events may not be skipped).  Floating-point floor slop can land
+/// one window early (costing one empty round), never late — pinned by
+/// unit test.
+[[nodiscard]] std::uint64_t next_window(std::uint64_t current, Time t_min,
+                                        Duration window);
 
 /// Drives one control simulator plus N domain simulators through
 /// barrier-synchronized lookahead windows.  Domain work is spread over a
@@ -107,10 +83,6 @@ class ShardedEngine {
   /// Installs the mailbox-drain hook, called at the top of every round
   /// (single-threaded; domains quiescent).
   void set_exchange(std::function<void()> fn) { exchange_ = std::move(fn); }
-
-  /// Swaps the window-advance policy (engine keeps the default Skipping
-  /// sync otherwise).  Not owned.
-  void set_sync(const ShardSync* sync) { sync_ = sync; }
 
   /// Runs rounds until every domain, the control simulator and the
   /// mailboxes are all drained.
@@ -151,8 +123,6 @@ class ShardedEngine {
   int workers_ = 1;
   std::vector<Simulator*> domains_;
   std::function<void()> exchange_;
-  SkippingWindowSync default_sync_;
-  const ShardSync* sync_ = &default_sync_;
   std::uint64_t m_ = 0;        ///< next window index to consider
   std::uint64_t rounds_ = 0;   ///< windows executed (diagnostic)
 

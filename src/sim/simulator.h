@@ -1,16 +1,14 @@
 // The simulation kernel: a clock plus an event queue.
 //
 // Usage:
-//   Simulator sim;                  // EventBackend::kAuto by default
+//   Simulator sim;
 //   sim.at(1.0, [&]{ ... });        // absolute time
 //   sim.after(0.5, [&]{ ... });     // relative to now()
 //   auto t = sim.make_timer([&]{ ... });  // persistent timer (sim/timer.h)
 //   sim.run_until(600.0);
 //
 // The kernel is strictly single-threaded and deterministic: events at equal
-// times fire in scheduling order, and the ordering backend (heap, timing
-// wheel, or auto) never changes the firing order — only the cost of
-// maintaining it.
+// times fire in scheduling order.
 
 #pragma once
 
@@ -28,8 +26,7 @@ class Timer;
 
 class Simulator {
  public:
-  explicit Simulator(EventBackend backend = EventBackend::kAuto)
-      : queue_(backend) {}
+  Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

@@ -1,7 +1,7 @@
 // Pluggable congestion control — the policy seam behind TcpSource.
 //
-// A vtable-free stack selector in the style of OrderBackend / EventBackend /
-// ShardSync: one enum (`CcAlgo`), one flat state object, switch dispatch.
+// A vtable-free stack selector in the style of OrderBackend: one enum
+// (`CcAlgo`), one flat state object, switch dispatch.
 // Three stacks share the seam:
 //
 //   * kReno — the original Tahoe/NewReno loss-window arithmetic: slow

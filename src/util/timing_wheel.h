@@ -15,7 +15,7 @@
 // Unlike an OS wheel, a discrete-event simulator must pop in *exact*
 // (time, seq) order, not merely per-tick order: determinism is the
 // contract (the differential harness asserts byte-identical firing order
-// against the binary heap).  Two properties deliver that:
+// against an ordered-map reference model).  Two properties deliver that:
 //
 //   * tick(t) is monotone in t, so ordering coarsely by tick and exactly
 //     within a tick reproduces the global (time, seq) order;
@@ -201,8 +201,8 @@ class TimingWheel {
     reset(cursor);
   }
 
-  /// Discards every entry and restarts the wheel at `cursor` (used when a
-  /// drained queue migrates backends).  Keeps pool and run capacities.
+  /// Discards every entry and restarts the wheel at `cursor`.  Keeps pool
+  /// and run capacities.
   void reset(Tick cursor) {
     buckets_.fill(kNil);
     occ_.fill(0);

@@ -224,8 +224,7 @@ TEST(AllocSteadyState, EventWheelIsAllocationFree) {
 // slab slot per timer for life, re-arming a pure key insert.  Both the
 // self-re-arming pattern (sources, transmit-complete) and the
 // supersede-while-pending pattern (port retry, TCP RTO restart) must be
-// allocation-free — under the wheel, which a 256-timer wheel of this
-// shape runs on (kAuto migrates above 64 pending).
+// allocation-free.
 TEST(AllocSteadyState, TimerRearmPathIsAllocationFree) {
   sim::Simulator sim;
   std::uint64_t fired = 0;
@@ -238,7 +237,6 @@ TEST(AllocSteadyState, TimerRearmPathIsAllocationFree) {
     });
     timers.back().arm_after(1e-3 * (i + 1));
   }
-  ASSERT_EQ(sim.queue().active_backend(), sim::EventBackend::kWheel);
   auto cycle = [&](int cycles) {
     const std::uint64_t before = testhook::allocation_count();
     for (int i = 0; i < cycles; ++i) sim.step();

@@ -4,8 +4,7 @@
 // SPEC alone.  For every CC stack {reno, bbr, rack} the packet trace, the
 // admission decision log, the conservation ledger, the per-flow outcome
 // table AND the new feedback counters (marks, echoes, backoffs) must be
-// byte-identical across EventBackend {heap, wheel} x OrderBackend {heap,
-// calendar} x shard counts.  As everywhere else in this repo, shards=0
+// byte-identical across OrderBackend {heap, calendar} and shard counts.  As everywhere else in this repo, shards=0
 // (classic, zero propagation delay) and shards>=1 (per-hop link latency)
 // are distinct deterministic references; within each reference class every
 // combination must agree bit-for-bit, doubles compared with ==.
@@ -42,10 +41,8 @@ struct CcRun {
 };
 
 CcRun run_cc(scenario::ScenarioSpec spec, int shards,
-             sim::EventBackend event_backend,
              sched::OrderBackend order_backend) {
   spec.shards = shards;
-  spec.event_backend = event_backend;
   spec.order_backend = order_backend;
   scenario::ScenarioRunner runner(std::move(spec));
   net::PacketTracer tracer(1u << 22);
@@ -159,61 +156,31 @@ scenario::ScenarioSpec parking_spec(scenario::CcKind cc, std::uint64_t seed) {
 constexpr scenario::CcKind kStacks[] = {
     scenario::CcKind::kReno, scenario::CcKind::kBbr, scenario::CcKind::kRack};
 
-/// shards=0: the classic single-clock reference, crossed over both event
-/// backends and both ordering backends.
+/// shards=0: the classic single-clock reference, crossed over both
+/// ordering backends.
 void classic_diff(const scenario::ScenarioSpec& spec, const std::string& label) {
-  const CcRun ref = run_cc(spec, 0, sim::EventBackend::kHeap,
-                           sched::OrderBackend::kHeap);
+  const CcRun ref = run_cc(spec, 0, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
   EXPECT_GT(ref.cc_flows, 0u) << label << ": no responsive flow attached";
   EXPECT_GT(ref.tcp_segments, 0u) << label;
 
-  struct Combo {
-    sim::EventBackend event;
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap-order"},
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar-order"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar-order"},
-  };
-  for (const Combo& c : combos) {
-    expect_identical(ref, run_cc(spec, 0, c.event, c.order),
-                     label + " under " + c.name);
-  }
+  expect_identical(ref, run_cc(spec, 0, sched::OrderBackend::kCalendar),
+                   label + " under calendar-order");
 }
 
-/// shards>=1: the sharded reference, crossed over worker counts and event
-/// backends (all mutually byte-identical).
+/// shards>=1: the sharded reference, crossed over worker counts (all
+/// mutually byte-identical).
 void sharded_diff(const scenario::ScenarioSpec& spec,
                   const std::string& label) {
-  const CcRun ref = run_cc(spec, 1, sim::EventBackend::kHeap,
-                           sched::OrderBackend::kHeap);
+  const CcRun ref = run_cc(spec, 1, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
   EXPECT_GT(ref.cc_flows, 0u) << label << ": no responsive flow attached";
 
-  struct Combo {
-    int shards;
-    sim::EventBackend event;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {1, sim::EventBackend::kWheel, "1 x wheel"},
-      {2, sim::EventBackend::kHeap, "2 x heap"},
-      {2, sim::EventBackend::kWheel, "2 x wheel"},
-      {4, sim::EventBackend::kHeap, "4 x heap"},
-  };
-  for (const Combo& c : combos) {
-    expect_identical(ref,
-                     run_cc(spec, c.shards, c.event,
-                            sched::OrderBackend::kHeap),
-                     label + " under shards x backend = " + c.name);
+  for (const int shards : {2, 4}) {
+    expect_identical(ref, run_cc(spec, shards, sched::OrderBackend::kHeap),
+                     label + " under shards = " + std::to_string(shards));
   }
 }
 
@@ -270,13 +237,10 @@ TEST(CcDiff, StacksActuallyDiffer) {
   // nothing).  Compared via segment counts + echo counts, which diverge
   // as soon as pacing/loss-detection behaviour differs.
   const CcRun reno = run_cc(dumbbell_spec(scenario::CcKind::kReno, 101), 0,
-                            sim::EventBackend::kHeap,
                             sched::OrderBackend::kHeap);
   const CcRun bbr = run_cc(dumbbell_spec(scenario::CcKind::kBbr, 101), 0,
-                           sim::EventBackend::kHeap,
                            sched::OrderBackend::kHeap);
   const CcRun rack = run_cc(dumbbell_spec(scenario::CcKind::kRack, 101), 0,
-                            sim::EventBackend::kHeap,
                             sched::OrderBackend::kHeap);
   EXPECT_TRUE(reno.trace.size() != bbr.trace.size() ||
               reno.tcp_segments != bbr.tcp_segments ||

@@ -214,28 +214,10 @@ TEST(EventQueue, ManyCancelledEntriesDoNotAccumulate) {
   EXPECT_LE(q.slab_slots(), 32u);
 }
 
-// --- backend-parameterized ordering and staleness tests -------------------
-// The heap and the timing wheel must be observationally identical; these
-// run the ordering-sensitive cases against both (and kAuto, which
-// migrates between them mid-run).
+// --- ordering and staleness tests ---------------------------------------
 
-class EventQueueBackendTest : public ::testing::TestWithParam<EventBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueBackendTest,
-                         ::testing::Values(EventBackend::kHeap,
-                                           EventBackend::kWheel,
-                                           EventBackend::kAuto),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case EventBackend::kHeap: return "heap";
-                             case EventBackend::kWheel: return "wheel";
-                             case EventBackend::kAuto: return "auto";
-                           }
-                           return "unknown";
-                         });
-
-TEST_P(EventQueueBackendTest, PopsInTimeThenFifoOrder) {
-  EventQueue q(GetParam());
+TEST(EventQueue, PopsInTimeThenFifoOrder) {
+  EventQueue q;
   std::vector<int> fired;
   q.schedule(3.0, [&] { fired.push_back(30); });
   q.schedule(1.0, [&] { fired.push_back(10); });
@@ -246,10 +228,10 @@ TEST_P(EventQueueBackendTest, PopsInTimeThenFifoOrder) {
   EXPECT_EQ(fired, (std::vector<int>{10, 11, 12, 20, 30}));
 }
 
-TEST_P(EventQueueBackendTest, SubTickCoincidencesStayExactlyOrdered) {
-  // Times closer together than any coarse bucketing the backend might use
+TEST(EventQueue, SubTickCoincidencesStayExactlyOrdered) {
+  // Times closer together than any coarse bucketing the wheel might use
   // (nanoseconds apart) must still pop in exact time order.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<int> fired;
   q.schedule(1.0 + 3e-9, [&] { fired.push_back(3); });
   q.schedule(1.0 + 1e-9, [&] { fired.push_back(1); });
@@ -259,11 +241,11 @@ TEST_P(EventQueueBackendTest, SubTickCoincidencesStayExactlyOrdered) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(EventQueueBackendTest, ScheduleDuringPopAtSameInstantFiresInOrder) {
+TEST(EventQueue, ScheduleDuringPopAtSameInstantFiresInOrder) {
   // An event firing at t may schedule more work at t; it must run after
-  // everything already pending at t (FIFO), even if the backend had
+  // everything already pending at t (FIFO), even if the wheel had
   // already sorted that instant's run.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<int> fired;
   q.schedule(1.0, [&] {
     fired.push_back(1);
@@ -277,8 +259,8 @@ TEST_P(EventQueueBackendTest, ScheduleDuringPopAtSameInstantFiresInOrder) {
 
 // Satellite: next_time()/pop() must advance cleanly over large bands of
 // stale keys left by cancel bursts (the port retry pattern at scale).
-TEST_P(EventQueueBackendTest, StaleKeyAdvanceAfterHeavyCancelBursts) {
-  EventQueue q(GetParam());
+TEST(EventQueue, StaleKeyAdvanceAfterHeavyCancelBursts) {
+  EventQueue q;
   std::vector<int> fired;
   // Interleave survivors with doomed events across a wide time range so
   // stale keys pepper every wheel level, then cancel in bursts.
@@ -313,8 +295,8 @@ TEST_P(EventQueueBackendTest, StaleKeyAdvanceAfterHeavyCancelBursts) {
 // touch a recycled slot, even after the slot has cycled through many
 // generations (the 32-bit generation makes an accidental match need 2^32
 // reuses; this pins the mechanism across a dense slice of them).
-TEST_P(EventQueueBackendTest, StaleIdsNeverCancelAcrossGenerations) {
-  EventQueue q(GetParam());
+TEST(EventQueue, StaleIdsNeverCancelAcrossGenerations) {
+  EventQueue q;
   EventId first = kInvalidEventId;
   EventId previous = kInvalidEventId;
   for (int round = 0; round < 50000; ++round) {
@@ -336,8 +318,8 @@ TEST_P(EventQueueBackendTest, StaleIdsNeverCancelAcrossGenerations) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueBackendTest, CancelBurstThenRefillReusesSlots) {
-  EventQueue q(GetParam());
+TEST(EventQueue, CancelBurstThenRefillReusesSlots) {
+  EventQueue q;
   for (int wave = 0; wave < 20; ++wave) {
     std::vector<EventId> ids;
     for (int i = 0; i < 200; ++i) {
@@ -365,7 +347,7 @@ TEST_P(EventQueueBackendTest, CancelBurstThenRefillReusesSlots) {
 // the same occupancy spread across the horizon must not (finer ticks
 // would only multiply refill windows there).
 TEST(EventQueueWheelAdapt, SameInstantPileUpEscalatesResolution) {
-  EventQueue q(EventBackend::kWheel);
+  EventQueue q;
   const double base = q.ticks_per_sec();
   // 110k events packed 1 ns apart: far above the occupancy threshold and
   // all inside a handful of base-resolution ticks.
@@ -387,7 +369,7 @@ TEST(EventQueueWheelAdapt, SameInstantPileUpEscalatesResolution) {
 }
 
 TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
-  EventQueue q(EventBackend::kWheel);
+  EventQueue q;
   const double base = q.ticks_per_sec();
   // Same occupancy, but ~13 base ticks between events: every sorted run
   // stays tiny, so the density gate must hold the base resolution.
@@ -407,22 +389,6 @@ TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
     EXPECT_LT(prev, t);
     prev = t;
   }
-}
-
-TEST(EventQueueAuto, MigratesToWheelAndBackAtDrain) {
-  EventQueue q(EventBackend::kAuto);
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
-  for (int i = 0; i < 200; ++i) q.schedule(0.001 * (i + 1), [] {});
-  EXPECT_EQ(q.active_backend(), EventBackend::kWheel);
-  std::vector<Time> times;
-  while (!q.empty()) times.push_back(q.pop().time);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_LT(times[i - 1], times[i]);
-  }
-  // Drained: reverts to the heap, and small loads stay there.
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
-  q.schedule(1.0, [] {});
-  EXPECT_EQ(q.active_backend(), EventBackend::kHeap);
 }
 
 }  // namespace

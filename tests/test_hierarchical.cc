@@ -15,8 +15,8 @@
 //      hierarchical.
 //   3. The flow-locality cache counters (ScenarioReport route/sink cache
 //      hits/misses) are a pure function of the packet sequence, hence
-//      byte-identical across every event-ordering x virtual-time-ordering
-//      backend combination, in BOTH modes.  (Flat-path byte-identity
+//      byte-identical across virtual-time ordering backends, in BOTH
+//      modes.  (Flat-path byte-identity
 //      itself is pinned by test_scenario_golden; this file extends the
 //      cross-backend invariant to the new counters and the new mode.)
 
@@ -44,21 +44,13 @@ scenario::ScenarioSpec mixed_spec() {
   return spec;
 }
 
-scenario::ScenarioReport run_spec(scenario::ScenarioSpec spec,
-                                  bool hierarchical,
-                                  sim::EventBackend event_backend,
-                                  sched::OrderBackend order_backend) {
+scenario::ScenarioReport run_spec(
+    scenario::ScenarioSpec spec, bool hierarchical,
+    sched::OrderBackend order_backend = sched::OrderBackend::kHeap) {
   spec.hierarchical = hierarchical;
-  spec.event_backend = event_backend;
   spec.order_backend = order_backend;
   scenario::ScenarioRunner runner(std::move(spec));
   return runner.run();
-}
-
-scenario::ScenarioReport run_spec(scenario::ScenarioSpec spec,
-                                  bool hierarchical) {
-  return run_spec(std::move(spec), hierarchical, sim::EventBackend::kHeap,
-                  sched::OrderBackend::kHeap);
 }
 
 TEST(Hierarchical, ConservesAndDeliversEveryClass) {
@@ -118,46 +110,28 @@ TEST(Hierarchical, KnobChangesSchedulingOnly) {
 }
 
 // Cache hit/miss counters are deterministic: same spec -> same counters,
-// regardless of the engine's event backend or the schedulers' virtual-time
-// ordering backend.  This is what lets the counters live in ScenarioReport
-// without weakening the golden determinism contract.
+// regardless of the schedulers' virtual-time ordering backend.  This is
+// what lets the counters live in ScenarioReport without weakening the
+// golden determinism contract.
 TEST(Hierarchical, CacheCountersByteIdenticalAcrossBackends) {
-  struct Combo {
-    sim::EventBackend event;
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar"},
-  };
   for (const bool hierarchical : {false, true}) {
-    const auto ref = run_spec(mixed_spec(), hierarchical,
-                              sim::EventBackend::kHeap,
-                              sched::OrderBackend::kHeap);
+    const auto ref = run_spec(mixed_spec(), hierarchical);
     ASSERT_TRUE(ref.conserved());
     EXPECT_GT(ref.route_cache_hits + ref.route_cache_misses, 0u);
     EXPECT_GT(ref.sink_label_hits, 0u);
-    for (const Combo& combo : combos) {
-      const auto got =
-          run_spec(mixed_spec(), hierarchical, combo.event, combo.order);
-      const std::string what = std::string("hierarchical=") +
-                               (hierarchical ? "1" : "0") + " under " +
-                               combo.name;
-      EXPECT_EQ(ref.route_cache_hits, got.route_cache_hits) << what;
-      EXPECT_EQ(ref.route_cache_misses, got.route_cache_misses) << what;
-      EXPECT_EQ(ref.sink_cache_hits, got.sink_cache_hits) << what;
-      EXPECT_EQ(ref.sink_cache_misses, got.sink_cache_misses) << what;
-      EXPECT_EQ(ref.sink_label_hits, got.sink_label_hits) << what;
-      EXPECT_EQ(ref.decision_hash(), got.decision_hash()) << what;
-      EXPECT_EQ(ref.delivered, got.delivered) << what;
-      EXPECT_EQ(ref.generated, got.generated) << what;
-      EXPECT_EQ(ref.events, got.events) << what;
-    }
+    const auto got = run_spec(mixed_spec(), hierarchical,
+                              sched::OrderBackend::kCalendar);
+    const std::string what = std::string("hierarchical=") +
+                             (hierarchical ? "1" : "0") + " under calendar";
+    EXPECT_EQ(ref.route_cache_hits, got.route_cache_hits) << what;
+    EXPECT_EQ(ref.route_cache_misses, got.route_cache_misses) << what;
+    EXPECT_EQ(ref.sink_cache_hits, got.sink_cache_hits) << what;
+    EXPECT_EQ(ref.sink_cache_misses, got.sink_cache_misses) << what;
+    EXPECT_EQ(ref.sink_label_hits, got.sink_label_hits) << what;
+    EXPECT_EQ(ref.decision_hash(), got.decision_hash()) << what;
+    EXPECT_EQ(ref.delivered, got.delivered) << what;
+    EXPECT_EQ(ref.generated, got.generated) << what;
+    EXPECT_EQ(ref.events, got.events) << what;
   }
 }
 

@@ -73,7 +73,6 @@ scenario::ScenarioSpec burst_spec() {
   // ~12 packets per window — far over the toy ring, comfortably under
   // the default BDP sizing.
   spec.link_latency = 0.05;
-  spec.event_backend = sim::EventBackend::kHeap;
   spec.order_backend = sched::OrderBackend::kHeap;
   spec.seed = 21;
   return spec;

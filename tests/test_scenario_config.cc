@@ -39,6 +39,10 @@ TEST(ScenarioConfig, UnknownKeysAreDiagnosed) {
             std::string::npos)
       << "diagnostic must name the offending key";
   EXPECT_NE(must_throw("", "1").find("unknown key"), std::string::npos);
+  // The event core has one ordering structure: a config that still
+  // selects an event backend is diagnosed, not silently ignored.
+  EXPECT_NE(must_throw("event_backend", "wheel").find("unknown key"),
+            std::string::npos);
 }
 
 TEST(ScenarioConfig, MalformedNumbersAreDiagnosed) {
@@ -93,7 +97,6 @@ TEST(ScenarioConfig, EnumKeysRejectUnknownValues) {
   must_throw("reroute_policy", "panic");
   must_throw("admission_mode", "oracle");
   must_throw("measurement_estimator", "kalman");
-  must_throw("event_backend", "splay");
   must_throw("order_backend", "fifo");
   must_throw("preset", "doom");
   must_throw("scale", "galactic");

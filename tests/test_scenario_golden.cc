@@ -1,15 +1,19 @@
 // Golden-trace regression suite for the scenario layer.
 //
-// Extends the PR 3/4 differential harnesses up the stack: a WHOLE
+// Extends the queue-level differential harnesses up the stack: a WHOLE
 // scenario — fabric generation, live measurement-based admission, flow
-// churn, per-hop entry/exit traffic — must be byte-identical across
-// every event-ordering backend (heap / timing wheel) crossed with every
-// virtual-time ordering backend (heap / calendar queue).  Three small
-// seeded scenarios run under all combinations; the full PacketTracer
-// record stream (every transmit, drop, delivery with bit-exact
-// timestamps and delay fields) and the complete admission decision log
-// are hashed and compared against the (kHeap, kHeap) reference, along
-// with every conservation counter and the simulator's event count.
+// churn, per-hop entry/exit traffic — must be byte-identical across every
+// virtual-time ordering backend (heap / calendar queue / auto).  Each
+// seeded scenario runs under all of them; the full PacketTracer record
+// stream (every transmit, drop, delivery with bit-exact timestamps and
+// delay fields) and the complete admission decision log are hashed and
+// compared against the kHeap reference, along with every conservation
+// counter and the simulator's event count.
+//
+// Comparing configurations against each other cannot catch a change that
+// shifts every configuration at once, so each scenario's reference run is
+// also pinned to constants: decision hash, event count, deliveries and
+// trace hash.  A deliberate behaviour change re-pins them in its own diff.
 //
 // Hashes rather than full record diffs keep failure output small; when a
 // divergence appears, test_event_backend_diff / test_order_backend_diff
@@ -91,9 +95,8 @@ struct GoldenRun {
   std::uint64_t tcp_reorder_timeouts = 0;
 };
 
-GoldenRun run_one(scenario::ScenarioSpec spec, sim::EventBackend event_backend,
+GoldenRun run_one(scenario::ScenarioSpec spec,
                   sched::OrderBackend order_backend) {
-  spec.event_backend = event_backend;
   spec.order_backend = order_backend;
   scenario::ScenarioRunner runner(std::move(spec));
   net::PacketTracer tracer(1u << 22);
@@ -180,27 +183,33 @@ void expect_equal(const GoldenRun& ref, const GoldenRun& got,
   EXPECT_EQ(ref.tcp_reorder_timeouts, got.tcp_reorder_timeouts) << what;
 }
 
-void golden(const scenario::ScenarioSpec& spec, const char* label) {
-  const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+/// Reference-run values pinned across commits.
+struct Pinned {
+  std::uint64_t decision_hash;
+  std::uint64_t events;
+  std::uint64_t delivered;
+  std::uint64_t trace_hash;
+};
+
+void golden(const scenario::ScenarioSpec& spec, const char* label,
+            const Pinned& pinned) {
+  const GoldenRun ref = run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.records, 500u) << label << ": workload too small to prove "
                                   "anything";
+  EXPECT_EQ(ref.decision_hash, pinned.decision_hash) << label;
+  EXPECT_EQ(ref.events, pinned.events) << label;
+  EXPECT_EQ(ref.delivered, pinned.delivered) << label;
+  EXPECT_EQ(ref.trace_hash, pinned.trace_hash) << label;
   struct Combo {
-    sim::EventBackend event;
     sched::OrderBackend order;
     const char* name;
   };
   const Combo combos[] = {
-      {sim::EventBackend::kHeap, sched::OrderBackend::kCalendar,
-       "heap x calendar"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kHeap,
-       "wheel x heap"},
-      {sim::EventBackend::kWheel, sched::OrderBackend::kCalendar,
-       "wheel x calendar"},
-      {sim::EventBackend::kAuto, sched::OrderBackend::kAuto, "auto x auto"},
+      {sched::OrderBackend::kCalendar, "calendar"},
+      {sched::OrderBackend::kAuto, "auto"},
   };
   for (const Combo& combo : combos) {
-    const GoldenRun got = run_one(spec, combo.event, combo.order);
+    const GoldenRun got = run_one(spec, combo.order);
     expect_equal(ref, got,
                  std::string(label) + " under " + combo.name);
   }
@@ -215,7 +224,8 @@ TEST(ScenarioGolden, FanInTreeByteIdenticalAcrossBackends) {
   spec.arrival_rate = 6.0;
   spec.mean_hold = 2.0;
   spec.seed = 11;
-  golden(spec, "fan-in tree");
+  golden(spec, "fan-in tree",
+         {0x494cb9aba3513ff0ull, 5598, 2740, 0xd2a062da1973c16aull});
 }
 
 TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
@@ -233,9 +243,10 @@ TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
   // The reference run must actually drop (the trace would be vacuous
   // otherwise).
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.drops, 0u) << "parking lot never overloaded";
-  golden(spec, "overloaded parking lot");
+  golden(spec, "overloaded parking lot",
+         {0xdcb898f28a5a143full, 28375, 10482, 0x6a33a3491a7aef33ull});
 }
 
 TEST(ScenarioGolden, AdmissionChurnChainByteIdenticalAcrossBackends) {
@@ -244,9 +255,10 @@ TEST(ScenarioGolden, AdmissionChurnChainByteIdenticalAcrossBackends) {
   spec.seed = 13;
 
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.flows_rejected, 0u) << "churn never exercised rejection";
-  golden(spec, "admission churn chain");
+  golden(spec, "admission churn chain",
+         {0x05d53658647aaa9bull, 15104, 5817, 0x58a3ffb93eec16a8ull});
 }
 
 TEST(ScenarioGolden, MeshWithFailuresByteIdenticalAcrossBackends) {
@@ -255,12 +267,13 @@ TEST(ScenarioGolden, MeshWithFailuresByteIdenticalAcrossBackends) {
   spec.seed = 14;
 
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.links_failed, 1u) << "schedule produced <2 failures";
   EXPECT_GT(ref.flows_rerouted, 0u) << "no flow ever rerouted";
   EXPECT_GT(ref.failed_link_drops, 0u)
       << "no packet was ever caught on a failing link";
-  golden(spec, "mesh with failures");
+  golden(spec, "mesh with failures",
+         {0x838745ff56f99e8dull, 109116, 41503, 0x462c3ae8bd0cc1c9ull});
 }
 
 TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
@@ -274,7 +287,7 @@ TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
   spec.seed = 17;
 
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.nodes_crashed, 0u) << "no switch ever crashed";
   EXPECT_GT(ref.brownouts, 0u) << "no brown-out ever started";
   EXPECT_GT(ref.loss_episodes, 0u) << "no loss episode ever started";
@@ -283,7 +296,8 @@ TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
   EXPECT_GT(ref.fault_drops, 0u) << "transient loss never destroyed a packet";
   EXPECT_GT(ref.restore_attempts, 0u) << "re-admission backoff never fired";
   EXPECT_EQ(ref.invariant_violations, 0u) << "the monitor flagged the run";
-  golden(spec, "chaos fault plane");
+  golden(spec, "chaos fault plane",
+         {0xe766e89029430ba2ull, 139347, 52636, 0x13f3f0b143719326ull});
 }
 
 TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
@@ -305,12 +319,13 @@ TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
   spec.seed = 18;
 
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_GT(ref.cc_flows, 2u) << "mix never attached all three stacks";
   EXPECT_GT(ref.cc_marks, 0u) << "the bottleneck never marked";
   EXPECT_GT(ref.cc_echoes, 0u) << "no mark was ever echoed";
   EXPECT_GT(ref.tcp_segments, 0u);
-  golden(spec, "cc mix with binary feedback");
+  golden(spec, "cc mix with binary feedback",
+         {0xe2f5c91a1b2245a0ull, 44572, 26561, 0x597ffed834ad5500ull});
 }
 
 TEST(ScenarioGolden, ShardedFanInByteIdenticalAcrossBackends) {
@@ -326,7 +341,8 @@ TEST(ScenarioGolden, ShardedFanInByteIdenticalAcrossBackends) {
   spec.mean_hold = 2.0;
   spec.shards = 2;
   spec.seed = 16;
-  golden(spec, "sharded fan-in tree");
+  golden(spec, "sharded fan-in tree",
+         {0x3d0a7c16360bfaa4ull, 6266, 1240, 0xc894458f313e5388ull});
 }
 
 TEST(ScenarioGolden, ExplicitFailureSchedulePreemptPolicy) {
@@ -348,12 +364,13 @@ TEST(ScenarioGolden, ExplicitFailureSchedulePreemptPolicy) {
   spec.validate();
 
   const GoldenRun ref =
-      run_one(spec, sim::EventBackend::kHeap, sched::OrderBackend::kHeap);
+      run_one(spec, sched::OrderBackend::kHeap);
   EXPECT_EQ(ref.links_failed, 2u);
   EXPECT_GT(ref.flows_rerouted, 0u) << "no flow ever rerouted";
   EXPECT_EQ(ref.flows_orphaned, 0u)
       << "non-partitioning failures orphaned a flow";
-  golden(spec, "explicit failures, preempt policy");
+  golden(spec, "explicit failures, preempt policy",
+         {0x1ff6b086e45ecdc7ull, 59622, 23190, 0xa7791c8c1f6d7f31ull});
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 // the SPEC alone — the per-switch domain decomposition, the lookahead
 // window grid and the mailbox merge order are all derived from the
 // topology, never from the worker count.  So for any scenario, shard
-// counts {1, 2, 4} crossed with both event backends {heap, wheel} must
-// produce BYTE-IDENTICAL packet traces, admission decision logs,
+// counts {1, 2, 4} must produce BYTE-IDENTICAL packet traces, admission decision logs,
 // conservation ledgers and per-flow outcome tables (doubles compared
 // bit-exactly).  Three fabrics are fuzzed across seeds: a three-level
 // fan-in tree (many domains, deep aggregation), an overloaded parking
@@ -15,9 +14,8 @@
 // The building blocks get their own unit tests: the SPSC handoff ring
 // (order, wrap, full/empty, a real producer thread), the LinkMailbox
 // (push-order preservation across ring overflow) and the window-advance
-// policies (skipping may land early, never late; stepping and skipping
-// must agree on executed results, pinned here by a whole-scenario run
-// under each policy).
+// rule (it may land early, never late, and agrees with a one-window-at-a-
+// time walk).
 
 #include <gtest/gtest.h>
 
@@ -26,7 +24,6 @@
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "net/handoff.h"
@@ -111,18 +108,9 @@ TEST(SpscRing, SingleProducerSingleConsumerThreads) {
   EXPECT_EQ(expected, kCount);
 }
 
-// --- window-advance policies ----------------------------------------------
-
-TEST(ShardSync, SteppingWalksOneWindowAtATime) {
-  sim::SteppingWindowSync sync;
-  const sim::Duration w = 0.001;
-  EXPECT_EQ(sync.next_window(7, 7.0004e-3, w), 7u) << "event inside window";
-  EXPECT_EQ(sync.next_window(7, 8.0000e-3, w), 8u) << "event at next barrier";
-  EXPECT_EQ(sync.next_window(7, 5.0, w), 8u) << "never jumps, even far idle";
-}
+// --- window advance ---------------------------------------------------------
 
 TEST(ShardSync, SkippingLandsEarlyNeverLate) {
-  sim::SkippingWindowSync sync;
   const sim::Duration w = 0.001;
   // Adversarial times: barriers, just-below/above barriers, irrationals.
   const double times[] = {0.0,       1.0e-3,     0.9999999999e-3,
@@ -132,7 +120,7 @@ TEST(ShardSync, SkippingLandsEarlyNeverLate) {
   for (const double t : times) {
     for (const std::uint64_t cur : {std::uint64_t{0}, std::uint64_t{3}}) {
       if (t < static_cast<double>(cur) * w) continue;
-      const std::uint64_t m = sync.next_window(cur, t, w);
+      const std::uint64_t m = sim::next_window(cur, t, w);
       EXPECT_GE(m, cur) << t;
       // Never late: the chosen window must not start after the event.
       EXPECT_LE(static_cast<double>(m) * w, t) << t;
@@ -145,20 +133,14 @@ TEST(ShardSync, SkippingLandsEarlyNeverLate) {
 }
 
 TEST(ShardSync, SkippingMatchesSteppingFixpoint) {
-  sim::SkippingWindowSync skip;
-  sim::SteppingWindowSync step;
   const sim::Duration w = 0.0005;
   for (const double t : {0.0012, 0.25, 1.0 / 7.0, 3.3333, 17.0001}) {
+    // Walk the window grid one step at a time until the window containing
+    // t: stay while t is inside the current window, else advance by one.
     std::uint64_t cur = 0;
-    // Walk stepping until it settles on the window containing t.
-    for (;;) {
-      const std::uint64_t next = step.next_window(cur, t, w);
-      if (next == cur) break;
-      cur = next;
-    }
-    const std::uint64_t jumped = skip.next_window(0, t, w);
-    // Skipping may land one early; executing that empty window is a no-op,
-    // so results agree (pinned end-to-end below).
+    while (t >= static_cast<double>(cur + 1) * w) ++cur;
+    const std::uint64_t jumped = sim::next_window(0, t, w);
+    // Skipping may land one early; executing that empty window is a no-op.
     EXPECT_TRUE(jumped == cur || jumped + 1 == cur)
         << "t=" << t << " step=" << cur << " skip=" << jumped;
   }
@@ -231,10 +213,8 @@ struct ShardRun {
   std::uint64_t tcp_segments = 0, tcp_retransmits = 0;
 };
 
-ShardRun run_sharded(scenario::ScenarioSpec spec, int shards,
-                     sim::EventBackend backend) {
+ShardRun run_sharded(scenario::ScenarioSpec spec, int shards) {
   spec.shards = shards;
-  spec.event_backend = backend;
   scenario::ScenarioRunner runner(std::move(spec));
   net::PacketTracer tracer(1u << 22);
   runner.set_tracer(&tracer);
@@ -355,26 +335,14 @@ void expect_identical(const ShardRun& ref, const ShardRun& got,
 }
 
 void shard_diff(const scenario::ScenarioSpec& spec, const char* label) {
-  const ShardRun ref = run_sharded(spec, 1, sim::EventBackend::kHeap);
+  const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
-  struct Combo {
-    int shards;
-    sim::EventBackend backend;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {1, sim::EventBackend::kWheel, "1 x wheel"},
-      {2, sim::EventBackend::kHeap, "2 x heap"},
-      {2, sim::EventBackend::kWheel, "2 x wheel"},
-      {4, sim::EventBackend::kHeap, "4 x heap"},
-      {4, sim::EventBackend::kWheel, "4 x wheel"},
-  };
-  for (const Combo& combo : combos) {
-    const ShardRun got = run_sharded(spec, combo.shards, combo.backend);
+  for (const int shards : {2, 4}) {
+    const ShardRun got = run_sharded(spec, shards);
     expect_identical(ref, got,
-                     std::string(label) + " under shards x backend = " +
-                         combo.name);
+                     std::string(label) + " under shards = " +
+                         std::to_string(shards));
   }
 }
 
@@ -402,7 +370,7 @@ TEST(ShardDiff, OverloadedParkingLotByteIdenticalAcrossShardCounts) {
   spec.p_predicted = 0.35;
   spec.seed = 33;
 
-  const ShardRun ref = run_sharded(spec, 1, sim::EventBackend::kHeap);
+  const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.net_drops, 0u) << "parking lot never overloaded";
   shard_diff(spec, "overloaded parking lot");
 }
@@ -413,7 +381,7 @@ TEST(ShardDiff, MeshWithFailuresByteIdenticalAcrossShardCounts) {
   spec.seed = 36;  // 7 link-downs: reroutes, degrades, orphans AND in-flight
                    // packets caught on failing links, all in one run
 
-  const ShardRun ref = run_sharded(spec, 1, sim::EventBackend::kHeap);
+  const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.reroutes + ref.degraded, 0u)
       << "failures never disturbed an admitted flow";
   EXPECT_GT(ref.failed_link_drops, 0u)
@@ -424,14 +392,14 @@ TEST(ShardDiff, MeshWithFailuresByteIdenticalAcrossShardCounts) {
 TEST(ShardDiff, ChaosFaultPlaneByteIdenticalAcrossShardCounts) {
   // Crashes, brown-outs, transient loss and flapping all at once, on the
   // sharded engine: every fault event lands on a lookahead-window barrier
-  // (ctl grid), so shard counts {1, 2, 4} x both event backends must agree
+  // (ctl grid), so shard counts {1, 2, 4} must agree
   // byte-for-byte — traces, decisions, fault counters and both new drop
   // buckets.  The invariant monitor audits throughout and must stay clean.
   scenario::ScenarioSpec spec = scenario::preset("chaos");
   spec.run_seconds = 20.0;  // enough for every fault family at test speed
   spec.seed = 40;  // 3 crashes, 12 brownouts, 6 loss episodes in 20 s
 
-  const ShardRun ref = run_sharded(spec, 1, sim::EventBackend::kHeap);
+  const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.nodes_crashed, 0u) << "no switch ever crashed";
   EXPECT_GT(ref.brownouts, 0u) << "no brown-out ever started";
   EXPECT_GT(ref.loss_episodes, 0u) << "no loss episode ever started";
@@ -459,47 +427,11 @@ TEST(ShardDiff, CcMixWithBinaryFeedbackByteIdenticalAcrossShardCounts) {
   spec.binary_feedback = true;
   spec.seed = 41;
 
-  const ShardRun ref = run_sharded(spec, 1, sim::EventBackend::kHeap);
+  const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.cc_flows, 2u) << "mix never attached all three stacks";
   EXPECT_GT(ref.cc_marks, 0u) << "the lot never marked a datagram";
   EXPECT_GT(ref.cc_echoes, 0u) << "no mark was ever echoed";
   shard_diff(spec, "cc mix with binary feedback");
-}
-
-TEST(ShardDiff, SteppingAndSkippingSyncProduceIdenticalResults) {
-  scenario::ScenarioSpec spec = scenario::preset("fan_in");
-  scenario::apply_scale(spec, "small");
-  spec.arrival_rate = 8.0;
-  spec.mean_hold = 2.0;
-  spec.seed = 35;
-  spec.shards = 2;
-
-  auto run_with = [&](const sim::ShardSync* sync) {
-    scenario::ScenarioRunner runner(spec);
-    net::PacketTracer tracer(1u << 22);
-    runner.set_tracer(&tracer);
-    runner.prepare();
-    tracer.attach(runner.net());
-    if (sync != nullptr) runner.engine()->set_sync(sync);
-    const scenario::ScenarioReport report = runner.run();
-    tracer.finalize();
-    const std::uint64_t more_rounds = runner.engine()->rounds();
-    return std::tuple(hash_trace(tracer.records()), report.decision_hash(),
-                      report.delivered, more_rounds);
-  };
-
-  const sim::SteppingWindowSync stepping;
-  const auto [skip_trace, skip_dec, skip_delivered, skip_rounds] =
-      run_with(nullptr);  // default skipping sync
-  const auto [step_trace, step_dec, step_delivered, step_rounds] =
-      run_with(&stepping);
-
-  EXPECT_EQ(skip_trace, step_trace);
-  EXPECT_EQ(skip_dec, step_dec);
-  EXPECT_EQ(skip_delivered, step_delivered);
-  // Stepping walks every window; skipping jumps the idle gaps.  They may
-  // only differ in the number of EMPTY rounds.
-  EXPECT_GE(step_rounds, skip_rounds);
 }
 
 TEST(ShardDiff, ClassicAndShardedAreDistinctReferences) {

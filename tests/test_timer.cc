@@ -1,7 +1,7 @@
-// Semantics of the persistent sim::Timer across both event backends:
-// re-arm while pending (supersede in place), disarm, FIFO interleaving
-// with one-shot schedule() at the same instant, slab-slot pinning across
-// firings, and move/destroy lifecycle.
+// Semantics of the persistent sim::Timer: re-arm while pending (supersede
+// in place), disarm, FIFO interleaving with one-shot schedule() at the
+// same instant, slab-slot pinning across firings, and move/destroy
+// lifecycle.
 
 #include "sim/timer.h"
 
@@ -16,23 +16,8 @@
 namespace ispn::sim {
 namespace {
 
-class TimerBackendTest : public ::testing::TestWithParam<EventBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, TimerBackendTest,
-                         ::testing::Values(EventBackend::kHeap,
-                                           EventBackend::kWheel,
-                                           EventBackend::kAuto),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case EventBackend::kHeap: return "heap";
-                             case EventBackend::kWheel: return "wheel";
-                             case EventBackend::kAuto: return "auto";
-                           }
-                           return "unknown";
-                         });
-
-TEST_P(TimerBackendTest, FiresAtArmedInstant) {
-  Simulator sim(GetParam());
+TEST(Timer, FiresAtArmedInstant) {
+  Simulator sim;
   std::vector<Time> fired;
   Timer t(sim, [&] { fired.push_back(sim.now()); });
   EXPECT_FALSE(t.pending());
@@ -45,8 +30,8 @@ TEST_P(TimerBackendTest, FiresAtArmedInstant) {
   EXPECT_FALSE(t.pending());
 }
 
-TEST_P(TimerBackendTest, RearmWhilePendingSupersedes) {
-  Simulator sim(GetParam());
+TEST(Timer, RearmWhilePendingSupersedes) {
+  Simulator sim;
   int fired = 0;
   Timer t(sim, [&] { ++fired; });
   t.arm_at(1.0);
@@ -59,8 +44,8 @@ TEST_P(TimerBackendTest, RearmWhilePendingSupersedes) {
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
-TEST_P(TimerBackendTest, RearmEarlierMovesFiring) {
-  Simulator sim(GetParam());
+TEST(Timer, RearmEarlierMovesFiring) {
+  Simulator sim;
   std::vector<Time> fired;
   Timer t(sim, [&] { fired.push_back(sim.now()); });
   t.arm_at(5.0);
@@ -70,8 +55,8 @@ TEST_P(TimerBackendTest, RearmEarlierMovesFiring) {
   EXPECT_DOUBLE_EQ(fired[0], 2.0);
 }
 
-TEST_P(TimerBackendTest, DisarmPreventsFiring) {
-  Simulator sim(GetParam());
+TEST(Timer, DisarmPreventsFiring) {
+  Simulator sim;
   int fired = 0;
   Timer t(sim, [&] { ++fired; });
   t.arm_at(1.0);
@@ -83,16 +68,16 @@ TEST_P(TimerBackendTest, DisarmPreventsFiring) {
   EXPECT_TRUE(sim.idle());
 }
 
-TEST_P(TimerBackendTest, DisarmAfterFireReturnsFalse) {
-  Simulator sim(GetParam());
+TEST(Timer, DisarmAfterFireReturnsFalse) {
+  Simulator sim;
   Timer t(sim, [] {});
   t.arm_at(1.0);
   sim.run();
   EXPECT_FALSE(t.disarm());
 }
 
-TEST_P(TimerBackendTest, ActionCanRearmItself) {
-  Simulator sim(GetParam());
+TEST(Timer, ActionCanRearmItself) {
+  Simulator sim;
   int fired = 0;
   Timer t(sim, [&] {
     EXPECT_FALSE(t.pending());  // idle by the time the action runs
@@ -107,8 +92,8 @@ TEST_P(TimerBackendTest, ActionCanRearmItself) {
 // Timers share the global scheduling sequence with one-shot events, so
 // arms and schedules at the same instant fire in call order — re-arming
 // does not lose a timer its place semantics.
-TEST_P(TimerBackendTest, SameInstantFifoWithOneShots) {
-  Simulator sim(GetParam());
+TEST(Timer, SameInstantFifoWithOneShots) {
+  Simulator sim;
   std::vector<int> order;
   Timer a(sim, [&] { order.push_back(1); });
   Timer b(sim, [&] { order.push_back(3); });
@@ -120,8 +105,8 @@ TEST_P(TimerBackendTest, SameInstantFifoWithOneShots) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST_P(TimerBackendTest, RearmAtSameInstantMovesToBackOfLine) {
-  Simulator sim(GetParam());
+TEST(Timer, RearmAtSameInstantMovesToBackOfLine) {
+  Simulator sim;
   std::vector<int> order;
   Timer a(sim, [&] { order.push_back(1); });
   a.arm_at(1.0);
@@ -136,8 +121,8 @@ TEST_P(TimerBackendTest, RearmAtSameInstantMovesToBackOfLine) {
 // The heart of the perf claim: a timer keeps its slab slot across
 // firings, so steady re-arming neither grows the slab nor churns the
 // free list.
-TEST_P(TimerBackendTest, RearmKeepsSlabSlotPinned) {
-  Simulator sim(GetParam());
+TEST(Timer, RearmKeepsSlabSlotPinned) {
+  Simulator sim;
   int fired = 0;
   Timer t(sim, [&] {
     ++fired;
@@ -153,8 +138,8 @@ TEST_P(TimerBackendTest, RearmKeepsSlabSlotPinned) {
   EXPECT_EQ(sim.queue().free_slots(), free_slots);
 }
 
-TEST_P(TimerBackendTest, DestroyReleasesSlotAndCancelsArm) {
-  Simulator sim(GetParam());
+TEST(Timer, DestroyReleasesSlotAndCancelsArm) {
+  Simulator sim;
   int fired = 0;
   const std::size_t base_slots = sim.queue().slab_slots();
   {
@@ -170,8 +155,8 @@ TEST_P(TimerBackendTest, DestroyReleasesSlotAndCancelsArm) {
   EXPECT_EQ(sim.queue().slab_slots(), std::max<std::size_t>(base_slots, 1));
 }
 
-TEST_P(TimerBackendTest, MoveKeepsPendingArmAlive) {
-  Simulator sim(GetParam());
+TEST(Timer, MoveKeepsPendingArmAlive) {
+  Simulator sim;
   int fired = 0;
   Timer a(sim, [&] { ++fired; });
   a.arm_at(1.0);
@@ -192,8 +177,8 @@ TEST_P(TimerBackendTest, MoveKeepsPendingArmAlive) {
 
 // A timer armed far in the future coexists with near-term churn (the
 // wheel keeps it in a high level / overflow until due).
-TEST_P(TimerBackendTest, FarFutureArmSurvivesChurn) {
-  Simulator sim(GetParam());
+TEST(Timer, FarFutureArmSurvivesChurn) {
+  Simulator sim;
   int fired = 0;
   Timer far(sim, [&] { ++fired; });
   far.arm_at(1e6);  // ~11.6 days of simulated time
@@ -207,8 +192,8 @@ TEST_P(TimerBackendTest, FarFutureArmSurvivesChurn) {
   EXPECT_DOUBLE_EQ(sim.now(), 1e6);
 }
 
-TEST_P(TimerBackendTest, MakeTimerFactory) {
-  Simulator sim(GetParam());
+TEST(Timer, MakeTimerFactory) {
+  Simulator sim;
   int fired = 0;
   auto t = sim.make_timer([&] { ++fired; });
   t.arm_after(0.5);
