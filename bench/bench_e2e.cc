@@ -140,10 +140,7 @@ bench::MicroResult run_pipeline_sharded(
   }
 
   sim::ShardedEngine engine(net.sim(), net.link_latency(), shards);
-  for (std::size_t d = 0; d < net.num_domains(); ++d) {
-    engine.add_domain(&net.domain_sim(d));
-  }
-  engine.set_exchange([&net] { net.exchange(); });
+  net.attach(engine);
 
   sim::Time horizon = 0.5;
   engine.run_until(horizon);

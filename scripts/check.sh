@@ -36,10 +36,11 @@ echo "== scenario smoke =="
 "$BUILD_DIR/scenario_run" --preset failure run_seconds=2 \
   link_failure_rate=0 \
   --fail-link 0:2@0.5,up@1.4 --fail-link 6:8@0.9 >/dev/null
-# Sharded parallel core at 1 and 4 workers: any worker count must produce
-# the identical report (test_shard_diff proves byte-identity; this smoke
-# catches CLI/runner wiring and threading crashes in a plain build).
-for n in 1 4; do
+# Sharded parallel core at 1, 3 and 4 workers: any worker count must
+# produce the identical report (test_shard_diff proves byte-identity; this
+# smoke catches CLI/runner wiring and threading crashes in a plain build;
+# 3 workers split the domains unevenly).
+for n in 1 3 4; do
   "$BUILD_DIR/scenario_run" --preset fan_in --scale smoke tree_depth=3 \
     arrival_rate=0 target_flows=8 --shards "$n" >/dev/null
 done

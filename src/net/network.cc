@@ -40,10 +40,24 @@ PacketPool& Network::pool_for(NodeId id) {
   return *domains_.at(static_cast<std::size_t>(domain_of_.at(id))).pool;
 }
 
-std::size_t Network::exchange() {
-  std::size_t n = 0;
-  for (auto& mb : mailboxes_) n += mb->drain();
-  return n;
+void Network::attach(sim::ShardedEngine& engine) {
+  std::vector<NodeId> hosts;
+  for (const auto& [id, host] : is_host_) {
+    if (host) hosts.push_back(id);
+  }
+  const std::map<NodeId, std::uint64_t> crossings =
+      route_crossings(adjacency_, hosts);
+  std::vector<std::uint64_t> weight(domains_.size(), 0);
+  for (const auto& [id, d] : domain_of_) {
+    if (is_host_.at(id)) continue;
+    const auto it = crossings.find(id);
+    if (it != crossings.end()) weight[static_cast<std::size_t>(d)] = it->second;
+  }
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    const std::size_t index =
+        engine.add_domain(domains_[d].sim.get(), weight[d]);
+    for (LinkMailbox* mb : domains_[d].inbound) engine.add_inbox(index, mb);
+  }
 }
 
 FlowStats& Network::hot_stats(FlowId flow) {
@@ -160,6 +174,8 @@ void Network::connect_impl(NodeId a, NodeId b, sim::Rate rate,
                     std::min(std::max(bdp_pkts, 256.0), 65536.0));
       mailboxes_.push_back(std::make_unique<LinkMailbox>(
           link_latency_, sim_for(to), *to_node, cap));
+      domains_.at(static_cast<std::size_t>(domain_of_.at(to)))
+          .inbound.push_back(mailboxes_.back().get());
       port->set_handoff(mailboxes_.back().get());
     }
     if (is_host_.at(from)) {

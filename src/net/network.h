@@ -16,6 +16,7 @@
 #include "net/host.h"
 #include "net/routing.h"
 #include "net/switch.h"
+#include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace ispn::net {
@@ -95,10 +96,11 @@ class Network {
   /// otherwise.
   [[nodiscard]] PacketPool& pool_for(NodeId id);
 
-  /// Drains every cross-domain mailbox in creation order (the shard
-  /// engine's exchange hook; call only at barriers).  Returns packets
-  /// moved.
-  std::size_t exchange();
+  /// Registers every domain with `engine`, in domain order, weighted by
+  /// the number of host pairs whose as-built route crosses the domain's
+  /// switch, together with its inbound mailboxes in creation order.  Call
+  /// once the topology is built.
+  void attach(sim::ShardedEngine& engine);
 
   /// Adds a host; its id is returned via Host::id().
   Host& add_host(const std::string& name);
@@ -243,6 +245,7 @@ class Network {
   struct Domain {
     std::unique_ptr<sim::Simulator> sim;
     std::unique_ptr<PacketPool> pool;
+    std::vector<LinkMailbox*> inbound;  // creation order
   };
 
   sim::Simulator sim_;

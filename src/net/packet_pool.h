@@ -142,7 +142,9 @@ class PacketPool {
   std::vector<Packet*> free_;
   std::uint64_t acquired_ = 0;
   bool concurrent_ = false;
-  std::atomic<Packet*> foreign_head_{nullptr};
+  // Foreign releases write these from other domains' threads; their own
+  // cache line keeps those writes off the line acquire() reads.
+  alignas(64) std::atomic<Packet*> foreign_head_{nullptr};
   std::atomic<std::size_t> foreign_count_{0};
 };
 

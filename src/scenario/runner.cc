@@ -89,10 +89,7 @@ void ScenarioRunner::prepare() {
   if (net().sharded()) {
     engine_ = std::make_unique<sim::ShardedEngine>(
         net().sim(), spec_.link_latency, spec_.shards);
-    for (std::size_t d = 0; d < net().num_domains(); ++d) {
-      engine_->add_domain(&net().domain_sim(d));
-    }
-    engine_->set_exchange([this] { net().exchange(); });
+    net().attach(*engine_);
     aggs_.resize(net().num_domains());
     if (tracer_ != nullptr) tracer_->shard(net().num_domains());
   } else {

@@ -6,42 +6,58 @@
 // propagation latency of any cross-domain link:
 //
 //   round m:
-//     1. drain every cross-domain mailbox into its destination domain
-//        (arrivals produced during window m-1 land at times >= m*W);
-//     2. run the single-threaded control simulator up to the barrier m*W
-//        (admission, failures, reroutes — anything that touches global
-//        state executes here, between windows, never concurrently with
-//        domain work);
-//     3. advance to the next non-empty window (next_window jumps over
-//        empty ones);
-//     4. run every domain in parallel through [m*W, (m+1)*W) with
-//        Simulator::run_before — strictly less than the barrier, so a
-//        packet that finishes transmitting at t in the window arrives
-//        cross-domain at t + L >= (m+1)*W, i.e. never inside the window
-//        being executed.  That is the whole correctness argument, and it
-//        is CSZ's per-hop isolation made operational: the propagation
-//        latency is a hard lower bound on cross-domain influence.
+//     1. window (parallel): every worker runs its domains through
+//        [m*W, (m+1)*W) with Simulator::run_before — strictly less than
+//        the barrier, so a packet that finishes transmitting at t in the
+//        window arrives cross-domain at t + L >= (m+1)*W, i.e. never
+//        inside the window being executed.  That is the whole correctness
+//        argument, and it is CSZ's per-hop isolation made operational: the
+//        propagation latency is a hard lower bound on cross-domain
+//        influence.
+//     2. drain (parallel): every worker drains the inbound mailboxes of
+//        its own domains into their event queues, in mailbox-creation
+//        order (arrivals produced during window m land at times
+//        >= (m+1)*W);
+//     3. serial step (the calling thread alone): run the control
+//        simulator up to the barrier (admission, failures, reroutes —
+//        anything that touches global state executes here, never
+//        concurrently with domain work), then advance to the next
+//        non-empty window (next_window jumps over empty ones).
 //
 // Determinism: the domain decomposition and the window grid are functions
-// of the topology spec alone, never of the worker count, so the sequence
-// of events each domain executes — and the (time, mailbox-creation-order)
-// merge of cross-domain arrivals — is identical whether 1 or N threads
-// execute the rounds.  Shard-count ∈ {1,2,4} is byte-identical by
-// construction, which the golden-trace suite and test_shard_diff verify.
+// of the topology spec alone, never of the worker count.  Event-queue
+// sequence numbers are per domain, and each domain's queue receives its
+// drained arrivals in the same (mailbox-creation, push) order whichever
+// worker drains it, so the sequence of events each domain executes is
+// identical whether 1 or N threads execute the rounds.  Shard-count
+// variation is byte-identical by construction, which the golden-trace
+// suite and test_shard_diff verify.
+//
+// Threads and barriers: the calling thread is worker 0 and runs its own
+// share; W-1 helper threads run the rest.  A phase is released by bumping
+// an atomic generation (release) and joined on an atomic pending count
+// (acquire), so everything a domain wrote in one phase happens-before
+// every read in the next.  Waiters spin with a pause instruction,
+// yielding every few spins, for a fixed budget, then park on
+// std::atomic::wait.  Domains map to workers
+// by a longest-processing-time assignment over static per-domain weights
+// (heaviest first, each to the least-loaded worker), computed once when
+// the workers start — a pure function of the topology and the worker
+// count.
 //
 // Why barrier-per-window and not null-message credits: see README
 // ("Parallel simulation").  Short version: the fabrics are dense (every
 // switch within two hops of most others), so per-link credit messages
 // approach all-to-all chatter with the same effective horizon the barrier
-// gives; the barrier costs two condvar sweeps per window, is trivially
-// deterministic, and keeps the hot path allocation-free.
+// gives; the barrier is trivially deterministic and keeps the hot path
+// allocation-free.
 
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -60,29 +76,42 @@ namespace ispn::sim {
 [[nodiscard]] std::uint64_t next_window(std::uint64_t current, Time t_min,
                                         Duration window);
 
+/// A cross-domain inbound queue.  Filled by other domains during a window;
+/// drained into its destination domain's event queue after the window by
+/// the worker that owns that domain.
+class Inbox {
+ public:
+  virtual std::size_t drain() = 0;
+
+ protected:
+  ~Inbox() = default;
+};
+
 /// Drives one control simulator plus N domain simulators through
-/// barrier-synchronized lookahead windows.  Domain work is spread over a
-/// lazily started worker pool; workers == 1 runs everything inline on the
-/// calling thread (bit-identical by design, and the configuration the
-/// allocation soak runs under).
+/// barrier-synchronized lookahead windows.  Domain work is spread over the
+/// calling thread plus a lazily started helper pool; workers == 1 runs
+/// everything inline on the calling thread (bit-identical by design, and
+/// the configuration the allocation soak runs under).
 class ShardedEngine {
  public:
   /// `control` executes global events (admission, failures, stop) at
   /// window barriers; `window` is the lookahead (cross-domain link
   /// latency); `workers` is the thread budget (clamped to [1, #domains]
-  /// at run time).
+  /// and to the hardware concurrency when the workers start).
   ShardedEngine(Simulator& control, Duration window, int workers);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// Registers a domain clock.  All domains must be added before run().
-  void add_domain(Simulator* domain);
+  /// Registers a domain clock and returns its index.  `weight` is its
+  /// static load estimate for the worker mapping.  All domains must be
+  /// added before the first window.
+  std::size_t add_domain(Simulator* domain, std::uint64_t weight = 1);
 
-  /// Installs the mailbox-drain hook, called at the top of every round
-  /// (single-threaded; domains quiescent).
-  void set_exchange(std::function<void()> fn) { exchange_ = std::move(fn); }
+  /// Registers an inbound mailbox of `domain`.  A domain's inboxes drain
+  /// in registration order, which must be a function of the topology.
+  void add_inbox(std::size_t domain, Inbox* inbox);
 
   /// Runs rounds until every domain, the control simulator and the
   /// mailboxes are all drained.
@@ -90,7 +119,10 @@ class ShardedEngine {
 
   /// Runs full windows while they start at or before `horizon`, then
   /// clamps the control clock to the horizon.  Monotone and re-entrant:
-  /// benches call this repeatedly with growing horizons.
+  /// benches call this repeatedly with growing horizons.  An exception
+  /// thrown by a domain event surfaces here once every worker has
+  /// finished the phase (the lowest-indexed throwing domain's, as at one
+  /// worker).
   void run_until(Time horizon);
 
   [[nodiscard]] bool idle() const;
@@ -99,10 +131,28 @@ class ShardedEngine {
   [[nodiscard]] std::uint64_t processed() const;
 
   [[nodiscard]] Duration window() const { return window_; }
-  [[nodiscard]] int workers() const { return workers_; }
+  [[nodiscard]] int workers() const {
+    return workers_.empty() ? 1 : static_cast<int>(workers_.size());
+  }
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
  private:
+  enum class Phase { kWindow, kDrain, kStop };
+
+  struct Domain {
+    Simulator* sim;
+    std::uint64_t weight;
+    std::vector<Inbox*> inbound;  // registration order
+  };
+
+  /// One worker's share: its domains (ascending index) and the first
+  /// exception its last phase raised.
+  struct Worker {
+    std::vector<std::size_t> domains;
+    std::exception_ptr error;
+    std::size_t error_domain = 0;
+  };
+
   /// One synchronization round.  Returns 0 when fully quiescent, 1 after
   /// executing a window, 2 when the next window starts after `bound`
   /// (nothing executed).
@@ -112,33 +162,33 @@ class ShardedEngine {
   /// kTimeInfinity when none.
   [[nodiscard]] Time min_next() const;
 
-  void run_parallel(Time window_end);
-  void start_workers(int n);
+  /// Maps domains onto workers and starts the helper threads (once).
+  void start_workers();
   void stop_workers();
-  void worker_main(int index);
+  void helper_main(std::size_t index, std::uint32_t seen);
+
+  /// Runs `phase` on every worker (the caller as worker 0) and returns
+  /// once all have finished it; rethrows a worker's exception.
+  void run_phase(Phase phase);
+  void run_share(Worker& w, Phase phase) noexcept;
+  void rethrow_first_error();
 
   Simulator& control_;
   Duration window_;
   int workers_requested_;
-  int workers_ = 1;
-  std::vector<Simulator*> domains_;
-  std::function<void()> exchange_;
+  std::vector<Domain> domains_;
   std::uint64_t m_ = 0;        ///< next window index to consider
   std::uint64_t rounds_ = 0;   ///< windows executed (diagnostic)
 
-  // Worker pool: generation-counted barrier.  Workers wake on a new
-  // generation, run their domain stripe through window_end_, and the last
-  // one to finish signals done.  The mutex handoff gives the control
-  // phase happens-before visibility into everything domain threads wrote
-  // during the window, and vice versa.
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  int pending_ = 0;
+  std::vector<Worker> workers_;       // empty until the first window
+  std::vector<std::thread> helpers_;  // workers 1..W-1
+  // Phase hand-off: the caller writes phase_ and window_end_, then bumps
+  // generation_ (release); each helper acquires the bump, runs its share
+  // and decrements pending_ (acq_rel); the caller acquires pending_ == 0.
+  Phase phase_ = Phase::kWindow;
   Time window_end_ = 0;
-  bool shutdown_ = false;
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  alignas(64) std::atomic<int> pending_{0};
 };
 
 }  // namespace ispn::sim
