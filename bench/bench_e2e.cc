@@ -140,7 +140,7 @@ bench::MicroResult run_pipeline_sharded(
   }
 
   sim::ShardedEngine engine(net.sim(), net.link_latency(), shards);
-  net.attach(engine);
+  net.attach(engine, {{topo.left_host, topo.right_host}});
 
   sim::Time horizon = 0.5;
   engine.run_until(horizon);

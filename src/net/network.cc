@@ -40,18 +40,13 @@ PacketPool& Network::pool_for(NodeId id) {
   return *domains_.at(static_cast<std::size_t>(domain_of_.at(id))).pool;
 }
 
-void Network::attach(sim::ShardedEngine& engine) {
-  std::vector<NodeId> hosts;
-  for (const auto& [id, host] : is_host_) {
-    if (host) hosts.push_back(id);
-  }
-  const std::map<NodeId, std::uint64_t> crossings =
-      route_crossings(adjacency_, hosts);
+void Network::attach(sim::ShardedEngine& engine,
+                     const std::vector<std::pair<NodeId, NodeId>>& od_pairs) {
   std::vector<std::uint64_t> weight(domains_.size(), 0);
-  for (const auto& [id, d] : domain_of_) {
-    if (is_host_.at(id)) continue;
-    const auto it = crossings.find(id);
-    if (it != crossings.end()) weight[static_cast<std::size_t>(d)] = it->second;
+  for (const auto& [src, dst] : od_pairs) {
+    for (const NodeId n : route(src, dst)) {
+      if (!is_host_.at(n)) ++weight[static_cast<std::size_t>(domain_of_.at(n))];
+    }
   }
   for (std::size_t d = 0; d < domains_.size(); ++d) {
     const std::size_t index =

@@ -96,11 +96,13 @@ class Network {
   /// otherwise.
   [[nodiscard]] PacketPool& pool_for(NodeId id);
 
-  /// Registers every domain with `engine`, in domain order, weighted by
-  /// the number of host pairs whose as-built route crosses the domain's
-  /// switch, together with its inbound mailboxes in creation order.  Call
-  /// once the topology is built.
-  void attach(sim::ShardedEngine& engine);
+  /// Registers every domain with `engine`, in domain order, together with
+  /// its inbound mailboxes in creation order.  A domain's weight for the
+  /// worker mapping is the number of `od_pairs` (the origin-destination
+  /// pairs the workload sends between) whose route crosses its switch.
+  /// Call once the routes are built.
+  void attach(sim::ShardedEngine& engine,
+              const std::vector<std::pair<NodeId, NodeId>>& od_pairs);
 
   /// Adds a host; its id is returned via Host::id().
   Host& add_host(const std::string& name);

@@ -7,17 +7,14 @@ namespace ispn::net {
 
 namespace {
 
-/// BFS parents from `source`; parent[source] = source.  `order`, when
-/// given, receives the nodes in visit order.
-std::map<NodeId, NodeId> bfs_parents(const Adjacency& adj, NodeId source,
-                                     std::vector<NodeId>* order = nullptr) {
+/// BFS parents from `source`; parent[source] = source.
+std::map<NodeId, NodeId> bfs_parents(const Adjacency& adj, NodeId source) {
   std::map<NodeId, NodeId> parent;
   parent[source] = source;
   std::deque<NodeId> frontier{source};
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop_front();
-    if (order != nullptr) order->push_back(u);
     auto it = adj.find(u);
     if (it == adj.end()) continue;
     for (NodeId v : it->second) {
@@ -84,29 +81,6 @@ std::vector<NodeId> shortest_path(const Adjacency& adj, NodeId src,
   path.push_back(src);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::map<NodeId, std::uint64_t> route_crossings(
-    const Adjacency& adj, const std::vector<NodeId>& endpoints) {
-  const std::set<NodeId> ends(endpoints.begin(), endpoints.end());
-  std::map<NodeId, std::uint64_t> crossings;
-  std::vector<NodeId> order;
-  for (const NodeId a : ends) {
-    // shortest_path(a, b) is b's ancestor chain in a's BFS tree, so v lies
-    // on it iff b is in v's subtree: count the endpoints b > a below each
-    // node, leaves first.
-    order.clear();
-    const auto parent = bfs_parents(adj, a, &order);
-    std::map<NodeId, std::uint64_t> below;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId v = *it;
-      const std::uint64_t n = below[v] + (v > a && ends.contains(v) ? 1 : 0);
-      if (n == 0) continue;
-      crossings[v] += n;
-      if (v != a) below[parent.at(v)] += n;
-    }
-  }
-  return crossings;
 }
 
 }  // namespace ispn::net

@@ -6,7 +6,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -61,11 +60,5 @@ using FailureSchedule = std::vector<LinkEvent>;
 /// Shortest path from `src` to `dst` (inclusive); empty if unreachable.
 [[nodiscard]] std::vector<NodeId> shortest_path(const Adjacency& adj,
                                                 NodeId src, NodeId dst);
-
-/// For every node, the number of unordered pairs of `endpoints` whose
-/// shortest_path passes through it (a pair's own endpoints included).
-/// Nodes no such path crosses are absent.
-[[nodiscard]] std::map<NodeId, std::uint64_t> route_crossings(
-    const Adjacency& adj, const std::vector<NodeId>& endpoints);
 
 }  // namespace ispn::net

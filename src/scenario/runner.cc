@@ -89,7 +89,11 @@ void ScenarioRunner::prepare() {
   if (net().sharded()) {
     engine_ = std::make_unique<sim::ShardedEngine>(
         net().sim(), spec_.link_latency, spec_.shards);
-    net().attach(*engine_);
+    // Weigh each domain by the distinct pairs the workload draws its
+    // flows from.
+    std::set<Fabric::OdPair> od(fabric_.od_long.begin(), fabric_.od_long.end());
+    od.insert(fabric_.od_short.begin(), fabric_.od_short.end());
+    net().attach(*engine_, {od.begin(), od.end()});
     aggs_.resize(net().num_domains());
     if (tracer_ != nullptr) tracer_->shard(net().num_domains());
   } else {

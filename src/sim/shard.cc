@@ -10,40 +10,23 @@ namespace ispn::sim {
 
 namespace {
 
-/// How long a waiter spins before it parks.  Long enough to cover the
+/// How long a waiter polls before it parks.  Long enough to cover the
 /// serial step and the usual share imbalance without a futex round trip,
 /// short enough that a waiting worker burns little CPU.
 constexpr auto kSpinBudget = std::chrono::microseconds(50);
 
-/// Pause spins between yields.  Yielding lets a waiter that shares its
-/// CPU with other threads (parallel test runs, other tenants) hand the
-/// CPU to the thread it is waiting for: on one CPU the 1-4 worker stress
-/// test takes 1.0 s with it and 10.7 s without.
-constexpr unsigned kSpinsPerYield = 8;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-/// Returns the first value of `a` that satisfies `done`: spins for
-/// kSpinBudget, then parks on std::atomic::wait.  The acquire loads pair
-/// with the writer's release.
+/// Returns the first value of `a` that satisfies `done`: polls for
+/// kSpinBudget, yielding between polls so that a waiter sharing its CPU
+/// hands it to the thread it waits for, then parks on std::atomic::wait.
+/// The acquire loads pair with the writer's release.
 template <typename T, typename Done>
 T await(const std::atomic<T>& a, Done done) {
   const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
-  for (unsigned i = 1;; ++i) {
+  do {
     const T v = a.load(std::memory_order_acquire);
     if (done(v)) return v;
-    cpu_relax();
-    if (i % kSpinsPerYield == 0) {
-      std::this_thread::yield();
-      if (std::chrono::steady_clock::now() >= deadline) break;
-    }
-  }
+    std::this_thread::yield();
+  } while (std::chrono::steady_clock::now() < deadline);
   for (;;) {
     const T v = a.load(std::memory_order_acquire);
     if (done(v)) return v;

@@ -37,12 +37,11 @@
 // share; W-1 helper threads run the rest.  A phase is released by bumping
 // an atomic generation (release) and joined on an atomic pending count
 // (acquire), so everything a domain wrote in one phase happens-before
-// every read in the next.  Waiters spin with a pause instruction,
-// yielding every few spins, for a fixed budget, then park on
-// std::atomic::wait.  Domains map to workers
+// every read in the next.  Waiters poll, yielding between polls, for a
+// fixed budget, then park on std::atomic::wait.  Domains map to workers
 // by a longest-processing-time assignment over static per-domain weights
 // (heaviest first, each to the least-loaded worker), computed once when
-// the workers start — a pure function of the topology and the worker
+// the workers start — a pure function of the weights and the worker
 // count.
 //
 // Why barrier-per-window and not null-message credits: see README
@@ -129,6 +128,11 @@ class ShardedEngine {
 
   /// Events processed across control + all domains.
   [[nodiscard]] std::uint64_t processed() const;
+
+  /// The mapping weight `domain` was registered with.
+  [[nodiscard]] std::uint64_t weight(std::size_t domain) const {
+    return domains_.at(domain).weight;
+  }
 
   [[nodiscard]] Duration window() const { return window_; }
   [[nodiscard]] int workers() const {

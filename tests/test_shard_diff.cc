@@ -211,6 +211,7 @@ struct ShardRun {
   // Responsive-traffic counters (PR 10).
   std::uint64_t cc_flows = 0, cc_marks = 0, cc_echoes = 0, cc_backoffs = 0;
   std::uint64_t tcp_segments = 0, tcp_retransmits = 0;
+  int workers = 0;  // threads the engine actually ran
 };
 
 ShardRun run_sharded(scenario::ScenarioSpec spec, int shards) {
@@ -254,6 +255,7 @@ ShardRun run_sharded(scenario::ScenarioSpec spec, int shards) {
   out.cc_backoffs = report.cc_backoffs;
   out.tcp_segments = report.tcp_segments;
   out.tcp_retransmits = report.tcp_retransmits;
+  out.workers = runner.engine()->workers();
   return out;
 }
 
@@ -338,13 +340,24 @@ void shard_diff(const scenario::ScenarioSpec& spec, const char* label) {
   const ShardRun ref = run_sharded(spec, 1);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
-  // 3 workers split the domains unevenly.
+  // 3 workers split the domains unevenly.  The engine never starts more
+  // threads than the hardware reports; a host that clamps a count ends the
+  // test skipped rather than passing on fewer workers.
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::string clamped;
   for (const int shards : {2, 3, 4}) {
     const ShardRun got = run_sharded(spec, shards);
     expect_identical(ref, got,
                      std::string(label) + " under shards = " +
                          std::to_string(shards));
+    if (hw > 0 && static_cast<unsigned>(shards) > hw) {
+      clamped += " " + std::to_string(shards) + "->" +
+                 std::to_string(got.workers);
+    } else {
+      EXPECT_EQ(got.workers, shards) << label;
+    }
   }
+  if (!clamped.empty()) GTEST_SKIP() << "host clamped workers:" << clamped;
 }
 
 TEST(ShardDiff, FanInTreeByteIdenticalAcrossShardCounts) {

@@ -14,9 +14,9 @@
 //   built here.
 // - Exceptions: a throwing domain event surfaces from run_until as the
 //   same exception at every worker count.
-// - Mapping weights: route_crossings on the fan-in tree the benchmark
-//   runs (depth 3, width 4) gives the root, mid and leaf switches 112, 58
-//   and 16 host pairs.
+// - Mapping weights: on the fan-in tree the benchmark runs (depth 3,
+//   width 4) the 16 leaf-to-root pairs weigh the root, mid and leaf
+//   switches 16, 4 and 1.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +25,11 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/handoff.h"
 #include "net/packet_pool.h"
-#include "net/routing.h"
 #include "scenario/runner.h"
 #include "sim/shard.h"
 
@@ -49,6 +49,19 @@ using Log = std::vector<LogEntry>;
 
 std::uint64_t packet_tag(const net::Packet& p) {
   return (static_cast<std::uint64_t>(p.flow) << 48) | (p.seq << 8) | p.hops;
+}
+
+/// The engine never starts more threads than the hardware reports, so on
+/// a host with fewer CPUs a larger request runs with fewer workers.
+/// Checks that `got` workers ran for `requested`, or records the clamp in
+/// `clamped` so the test can end skipped instead of passing silently.
+void check_workers(int requested, int got, std::string& clamped) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 0 && static_cast<unsigned>(requested) > hw) {
+    clamped += " " + std::to_string(requested) + "->" + std::to_string(got);
+    return;
+  }
+  EXPECT_EQ(got, requested);
 }
 
 /// Start of window m, computed exactly as the engine computes barriers.
@@ -171,6 +184,7 @@ struct StressResult {
   std::vector<Log> logs;  // per domain, then the control log
   std::uint64_t rounds = 0;
   std::uint64_t spills = 0;
+  int workers = 0;  // threads the engine actually ran
 };
 
 StressResult run_stress(int workers) {
@@ -211,6 +225,7 @@ StressResult run_stress(int workers) {
   for (const auto& d : w.domains) out.logs.push_back(std::move(d->log));
   out.logs.push_back(std::move(w.control_log));
   out.rounds = engine.rounds();
+  out.workers = engine.workers();
   for (const auto& mb : w.mailboxes) {
     EXPECT_EQ(mb->in_transit(), 0u);
     out.spills += mb->spills();
@@ -230,8 +245,10 @@ TEST(ShardEngine, StressLogsIdenticalAtOneToFourWorkers) {
   }
   EXPECT_GT(ref.logs.back().size(), 100u) << "no control injection ran";
 
+  std::string clamped;
   for (const int workers : {2, 3, 4}) {
     const StressResult got = run_stress(workers);
+    check_workers(workers, got.workers, clamped);
     EXPECT_EQ(got.rounds, ref.rounds) << workers << " workers";
     EXPECT_EQ(got.spills, ref.spills) << workers << " workers";
     ASSERT_EQ(got.logs.size(), ref.logs.size());
@@ -245,6 +262,7 @@ TEST(ShardEngine, StressLogsIdenticalAtOneToFourWorkers) {
           << (diff.first - a.begin());
     }
   }
+  if (!clamped.empty()) GTEST_SKIP() << "host clamped workers:" << clamped;
 }
 
 // --- per-destination drain order --------------------------------------------
@@ -271,6 +289,7 @@ TEST(ShardEngine, EqualTimeArrivalsFireInMailboxCreationOrder) {
   // Creation order of the three inbound mailboxes of domain 3.
   const int sources[] = {2, 0, 1};
 
+  std::string clamped;
   for (const int workers : {1, 2, 3, 4}) {
     sim::Simulator control;
     std::vector<std::unique_ptr<sim::Simulator>> sims;
@@ -319,7 +338,9 @@ TEST(ShardEngine, EqualTimeArrivalsFireInMailboxCreationOrder) {
 
     engine.run();
     EXPECT_EQ(log, expected) << workers << " workers";
+    check_workers(workers, engine.workers(), clamped);
   }
+  if (!clamped.empty()) GTEST_SKIP() << "host clamped workers:" << clamped;
 }
 
 // --- exceptions ---------------------------------------------------------------
@@ -329,7 +350,7 @@ void tick(sim::Simulator& s, sim::Time stop) {
   if (s.now() + 0.3e-3 < stop) s.after(0.3e-3, [&s, stop] { tick(s, stop); });
 }
 
-std::string first_failure(int workers) {
+std::string first_failure(int workers, std::string& clamped) {
   sim::Simulator control;
   std::vector<std::unique_ptr<sim::Simulator>> sims;
   for (int i = 0; i < 4; ++i) sims.push_back(std::make_unique<sim::Simulator>());
@@ -344,23 +365,28 @@ std::string first_failure(int workers) {
   sims[2]->at(0.0121, [] { throw std::runtime_error("domain 2"); });
   sims[1]->at(0.0125, [] { throw std::runtime_error("domain 1"); });
   sims[3]->at(0.0200, [] { throw std::runtime_error("domain 3"); });
+  std::string what = "no exception";
   try {
     engine.run_until(1.0);
   } catch (const std::runtime_error& e) {
-    return e.what();
+    what = e.what();
   }
-  return "no exception";
+  check_workers(workers, engine.workers(), clamped);
+  return what;
 }
 
 TEST(ShardEngine, DomainExceptionSurfacesFromRunUntilAtAnyWorkerCount) {
+  std::string clamped;
   for (const int workers : {1, 2, 4}) {
-    EXPECT_EQ(first_failure(workers), "domain 1") << workers << " workers";
+    EXPECT_EQ(first_failure(workers, clamped), "domain 1")
+        << workers << " workers";
   }
+  if (!clamped.empty()) GTEST_SKIP() << "host clamped workers:" << clamped;
 }
 
 // --- mapping weights ----------------------------------------------------------
 
-TEST(ShardEngine, RouteCrossingsWeighTheFanInTree) {
+TEST(ShardEngine, DomainWeightsCountTheFanInTreeRoutes) {
   scenario::ScenarioSpec spec = scenario::preset("fan_in");
   scenario::apply_scale(spec, "small");
   spec.tree_depth = 3;
@@ -368,22 +394,16 @@ TEST(ShardEngine, RouteCrossingsWeighTheFanInTree) {
   spec.shards = 1;
   scenario::ScenarioRunner runner(spec);
   runner.prepare();
-  net::Network& net = runner.net();
+  const sim::ShardedEngine& engine = *runner.engine();
 
-  std::vector<net::NodeId> hosts;
-  std::vector<net::NodeId> switches;
-  for (const auto& [id, neighbors] : net.adjacency()) {
-    (void)neighbors;
-    (net.is_host(id) ? hosts : switches).push_back(id);
-  }
-  const auto crossings = net::route_crossings(net.adjacency(), hosts);
   std::vector<std::uint64_t> weights;
-  for (const net::NodeId s : switches) weights.push_back(crossings.at(s));
+  for (std::size_t d = 0; d < runner.net().num_domains(); ++d) {
+    weights.push_back(engine.weight(d));
+  }
   std::sort(weights.begin(), weights.end());
-  std::vector<std::uint64_t> expected(16, 16);
-  expected.insert(expected.end(), 4, 58);
-  expected.push_back(112);
-  EXPECT_EQ(hosts.size(), 17u);
+  std::vector<std::uint64_t> expected(16, 1);
+  expected.insert(expected.end(), 4, 4);
+  expected.push_back(16);
   EXPECT_EQ(weights, expected);
 }
 
