@@ -39,10 +39,16 @@ echo "== scenario smoke =="
 # Sharded parallel core at 1, 3 and 4 workers: any worker count must
 # produce the identical report (test_shard_diff proves byte-identity; this
 # smoke catches CLI/runner wiring and threading crashes in a plain build;
-# 3 workers split the domains unevenly).
+# 3 workers split the domains unevenly).  Each JSON report must parse and
+# match the 1-worker one byte for byte, bar the "spec" line that names the
+# worker count.
 for n in 1 3 4; do
+  json="$BUILD_DIR/shards-$n.json"
   "$BUILD_DIR/scenario_run" --preset fan_in --scale smoke tree_depth=3 \
-    arrival_rate=0 target_flows=8 --shards "$n" >/dev/null
+    arrival_rate=0 target_flows=8 --shards "$n" --json "$json" >/dev/null
+  python3 -m json.tool "$json" >/dev/null
+  diff <(grep -v '^  "spec":' "$BUILD_DIR/shards-1.json") \
+       <(grep -v '^  "spec":' "$json")
 done
 # Responsive traffic: every CC stack (and the round-robin mix) through the
 # CLI with DEC-TR-506 binary feedback on — conservation now covers the

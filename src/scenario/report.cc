@@ -1,7 +1,9 @@
 #include "scenario/report.h"
 
 #include <cstring>
+#include <limits>
 #include <ostream>
+#include <span>
 
 namespace ispn::scenario {
 
@@ -22,6 +24,20 @@ std::uint64_t fnv1a_double(std::uint64_t h, double v) {
   std::memcpy(&bits, &v, sizeof bits);
   return fnv1a(h, &bits, sizeof bits);
 }
+
+/// Calls fn(section, counters) once per section of kReportCounters.
+template <class Fn>
+void for_each_section(Fn&& fn) {
+  const std::span<const ReportCounter> all(kReportCounters);
+  for (std::size_t i = 0; i < all.size();) {
+    std::size_t j = i + 1;
+    while (j < all.size() && all[j].section == all[i].section) ++j;
+    fn(all[i].section, all.subspan(i, j - i));
+    i = j;
+  }
+}
+
+const char* verdict(bool ok) { return ok ? "  [OK]" : "  [VIOLATED]"; }
 
 const char* class_name(std::size_t i) {
   switch (i) {
@@ -63,47 +79,22 @@ std::uint64_t ScenarioReport::decision_hash() const {
 
 void ScenarioReport::to_text(std::ostream& out) const {
   out << "scenario: " << spec_summary << "\n";
-  out << "run: " << end_time << " s simulated, " << events << " events\n";
-  out << "admission: offered " << flows_offered << ", admitted "
-      << flows_admitted << ", rejected " << flows_rejected << ", preempted "
-      << flows_preempted << " (ratio " << admission_ratio() << ")\n";
-  if (links_failed > 0 || links_repaired > 0) {
-    out << "failures: " << links_failed << " link-down, " << links_repaired
-        << " link-up; flows rerouted " << flows_rerouted << ", degraded "
-        << flows_degraded << ", orphaned " << flows_orphaned << "\n";
-  }
-  if (nodes_crashed > 0 || brownouts > 0 || loss_episodes > 0 ||
-      flows_restored > 0 || restore_attempts > 0) {
-    out << "faults: " << nodes_crashed << " crashes, " << nodes_recovered
-        << " recoveries, " << brownouts << " brownouts, " << loss_episodes
-        << " loss episodes; flows restored " << flows_restored << "/"
-        << restore_attempts << " attempts\n";
-  }
-  if (invariant_audits > 0 || invariant_violations > 0) {
-    out << "invariants: " << invariant_audits << " audits, "
-        << invariant_violations << " violations"
-        << (invariant_violations == 0 ? "  [OK]" : "  [VIOLATED]") << "\n";
-  }
-  out << "conservation: generated " << generated << " = source_drops "
-      << source_drops << " + injected " << injected << "; injected = delivered "
-      << delivered << " + net_drops " << net_drops << " + failed_link "
-      << failed_link_drops << " + node_failure " << node_failure_drops
-      << " + fault " << fault_drops << " + queued " << queued_end
-      << " + unclaimed " << unclaimed
-      << (conserved() ? "  [OK]" : "  [VIOLATED]") << "\n";
-  if (cc_flows > 0 || cc_mark_samples > 0) {
-    out << "responsive: " << cc_flows << " tcp flows, segments "
-        << tcp_segments << ", acked " << tcp_delivered << ", retransmits "
-        << tcp_retransmits << ", timeouts " << tcp_timeouts
-        << ", reorder timeouts " << tcp_reorder_timeouts << "\n";
-    out << "binary feedback: marks " << cc_marks << "/" << cc_mark_samples
-        << " samples, echoes " << cc_echoes << ", backoffs " << cc_backoffs
-        << "\n";
-  }
-  out << "lookup caches: route " << route_cache_hits << " hits / "
-      << route_cache_misses << " misses, sink " << sink_cache_hits
-      << " hits / " << sink_cache_misses << " misses, sink label "
-      << sink_label_hits << " hits\n";
+  for_each_section([&](std::string_view section,
+                       std::span<const ReportCounter> counters) {
+    out << section << ":";
+    const char* sep = " ";
+    for (const ReportCounter& c : counters) {
+      out << sep << c.name << " " << this->*c.field;
+      sep = ", ";
+    }
+    if (section == "run") out << " (" << end_time << " s simulated)";
+    if (section == "conservation") out << verdict(conserved());
+    if (section == "admission") out << " (ratio " << admission_ratio() << ")";
+    if (section == "faults" && invariant_audits > 0) {
+      out << verdict(invariant_violations == 0);
+    }
+    out << "\n";
+  });
   out << "per-class delay (ms): mean / p50 / p99 / p999 / max, jitter mean\n";
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const ClassStats& c = classes[i];
@@ -124,50 +115,25 @@ void ScenarioReport::to_text(std::ostream& out) const {
 }
 
 void ScenarioReport::to_json(std::ostream& out) const {
+  // Full precision, so the JSON carries every bit the determinism suites
+  // compare; the caller's precision is restored on the way out.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\n";
   out << "  \"spec\": \"" << spec_summary << "\",\n";
   out << "  \"end_time\": " << end_time << ",\n";
-  out << "  \"events\": " << events << ",\n";
   out << "  \"conserved\": " << (conserved() ? "true" : "false") << ",\n";
-  out << "  \"conservation\": { \"generated\": " << generated
-      << ", \"source_drops\": " << source_drops << ", \"injected\": "
-      << injected << ", \"delivered\": " << delivered << ", \"net_drops\": "
-      << net_drops << ", \"failed_link_drops\": " << failed_link_drops
-      << ", \"node_failure_drops\": " << node_failure_drops
-      << ", \"fault_drops\": " << fault_drops
-      << ", \"queued_end\": " << queued_end
-      << ", \"unclaimed\": " << unclaimed << " },\n";
-  out << "  \"caches\": { \"route_hits\": " << route_cache_hits
-      << ", \"route_misses\": " << route_cache_misses
-      << ", \"sink_hits\": " << sink_cache_hits
-      << ", \"sink_misses\": " << sink_cache_misses
-      << ", \"sink_label_hits\": " << sink_label_hits << " },\n";
-  out << "  \"admission\": { \"offered\": " << flows_offered
-      << ", \"admitted\": " << flows_admitted << ", \"rejected\": "
-      << flows_rejected << ", \"preempted\": " << flows_preempted
-      << ", \"ratio\": " << admission_ratio() << ", \"decision_hash\": \""
-      << decision_hash() << "\" },\n";
-  out << "  \"failures\": { \"links_failed\": " << links_failed
-      << ", \"links_repaired\": " << links_repaired << ", \"rerouted\": "
-      << flows_rerouted << ", \"degraded\": " << flows_degraded
-      << ", \"orphaned\": " << flows_orphaned << " },\n";
-  out << "  \"faults\": { \"nodes_crashed\": " << nodes_crashed
-      << ", \"nodes_recovered\": " << nodes_recovered
-      << ", \"brownouts\": " << brownouts
-      << ", \"loss_episodes\": " << loss_episodes
-      << ", \"flows_restored\": " << flows_restored
-      << ", \"restore_attempts\": " << restore_attempts
-      << ", \"invariant_audits\": " << invariant_audits
-      << ", \"invariant_violations\": " << invariant_violations << " },\n";
-  out << "  \"responsive\": { \"cc_flows\": " << cc_flows
-      << ", \"marks\": " << cc_marks
-      << ", \"mark_samples\": " << cc_mark_samples
-      << ", \"echoes\": " << cc_echoes << ", \"backoffs\": " << cc_backoffs
-      << ", \"segments\": " << tcp_segments
-      << ", \"acked\": " << tcp_delivered
-      << ", \"retransmits\": " << tcp_retransmits
-      << ", \"timeouts\": " << tcp_timeouts
-      << ", \"reorder_timeouts\": " << tcp_reorder_timeouts << " },\n";
+  out << "  \"decision_hash\": \"" << decision_hash() << "\",\n";
+  for_each_section([&](std::string_view section,
+                       std::span<const ReportCounter> counters) {
+    out << "  \"" << section << "\": {";
+    const char* sep = " ";
+    for (const ReportCounter& c : counters) {
+      out << sep << "\"" << c.name << "\": " << this->*c.field;
+      sep = ", ";
+    }
+    out << " },\n";
+  });
   out << "  \"classes\": {\n";
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const ClassStats& c = classes[i];
@@ -191,6 +157,7 @@ void ScenarioReport::to_json(std::ostream& out) const {
   }
   out << "  ]\n";
   out << "}\n";
+  out.precision(precision);
 }
 
 }  // namespace ispn::scenario

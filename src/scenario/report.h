@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/builder.h"
@@ -164,8 +165,8 @@ struct ScenarioReport {
   // ---- flow-locality caches -------------------------------------------
   // Direct-mapped lookup caches (DEC-TR-592) on the per-packet hot paths,
   // summed across all nodes: switch dst -> port and host flow -> sink.
-  // Deterministic (probe sequence == packet sequence), so the golden
-  // suite can pin them across backends.
+  // Deterministic (probe sequence == packet sequence), so the determinism
+  // suites compare them across backends and shard counts.
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
   std::uint64_t sink_cache_hits = 0;
@@ -195,11 +196,72 @@ struct ScenarioReport {
   /// golden-trace determinism suite.
   [[nodiscard]] std::uint64_t decision_hash() const;
 
-  /// Human-readable summary table.
+  /// Human-readable summary: one line per counter section, then the
+  /// per-class delay and link tables.
   void to_text(std::ostream& out) const;
-  /// Machine-readable JSON (one object).  The decision log is summarised
-  /// as counts plus decision_hash rather than emitted per entry.
+  /// Machine-readable JSON (one object): one object per counter section,
+  /// keyed by field name, doubles at full precision.  The decision log is
+  /// summarised as decision_hash rather than emitted per entry.
   void to_json(std::ostream& out) const;
+};
+
+/// One counter of the report: the section it renders under, its name (the
+/// text label and JSON key, spelled as the field) and the field itself.
+struct ReportCounter {
+  std::string_view section;
+  std::string_view name;
+  std::uint64_t ScenarioReport::*field;
+};
+
+/// Every counter of ScenarioReport, grouped by section in rendering order.
+/// The text and JSON reports and the determinism suites' compare set all
+/// walk this table, so a new counter is declared here and nowhere else.
+inline constexpr ReportCounter kReportCounters[] = {
+    {"run", "events", &ScenarioReport::events},
+    {"conservation", "generated", &ScenarioReport::generated},
+    {"conservation", "source_drops", &ScenarioReport::source_drops},
+    {"conservation", "injected", &ScenarioReport::injected},
+    {"conservation", "delivered", &ScenarioReport::delivered},
+    {"conservation", "net_drops", &ScenarioReport::net_drops},
+    {"conservation", "failed_link_drops", &ScenarioReport::failed_link_drops},
+    {"conservation", "node_failure_drops",
+     &ScenarioReport::node_failure_drops},
+    {"conservation", "fault_drops", &ScenarioReport::fault_drops},
+    {"conservation", "queued_end", &ScenarioReport::queued_end},
+    {"conservation", "unclaimed", &ScenarioReport::unclaimed},
+    {"admission", "flows_offered", &ScenarioReport::flows_offered},
+    {"admission", "flows_admitted", &ScenarioReport::flows_admitted},
+    {"admission", "flows_rejected", &ScenarioReport::flows_rejected},
+    {"admission", "flows_preempted", &ScenarioReport::flows_preempted},
+    {"failures", "links_failed", &ScenarioReport::links_failed},
+    {"failures", "links_repaired", &ScenarioReport::links_repaired},
+    {"failures", "flows_rerouted", &ScenarioReport::flows_rerouted},
+    {"failures", "flows_degraded", &ScenarioReport::flows_degraded},
+    {"failures", "flows_orphaned", &ScenarioReport::flows_orphaned},
+    {"faults", "nodes_crashed", &ScenarioReport::nodes_crashed},
+    {"faults", "nodes_recovered", &ScenarioReport::nodes_recovered},
+    {"faults", "brownouts", &ScenarioReport::brownouts},
+    {"faults", "loss_episodes", &ScenarioReport::loss_episodes},
+    {"faults", "flows_restored", &ScenarioReport::flows_restored},
+    {"faults", "restore_attempts", &ScenarioReport::restore_attempts},
+    {"faults", "invariant_audits", &ScenarioReport::invariant_audits},
+    {"faults", "invariant_violations", &ScenarioReport::invariant_violations},
+    {"responsive", "cc_flows", &ScenarioReport::cc_flows},
+    {"responsive", "cc_marks", &ScenarioReport::cc_marks},
+    {"responsive", "cc_mark_samples", &ScenarioReport::cc_mark_samples},
+    {"responsive", "cc_echoes", &ScenarioReport::cc_echoes},
+    {"responsive", "cc_backoffs", &ScenarioReport::cc_backoffs},
+    {"responsive", "tcp_segments", &ScenarioReport::tcp_segments},
+    {"responsive", "tcp_delivered", &ScenarioReport::tcp_delivered},
+    {"responsive", "tcp_retransmits", &ScenarioReport::tcp_retransmits},
+    {"responsive", "tcp_timeouts", &ScenarioReport::tcp_timeouts},
+    {"responsive", "tcp_reorder_timeouts",
+     &ScenarioReport::tcp_reorder_timeouts},
+    {"caches", "route_cache_hits", &ScenarioReport::route_cache_hits},
+    {"caches", "route_cache_misses", &ScenarioReport::route_cache_misses},
+    {"caches", "sink_cache_hits", &ScenarioReport::sink_cache_hits},
+    {"caches", "sink_cache_misses", &ScenarioReport::sink_cache_misses},
+    {"caches", "sink_label_hits", &ScenarioReport::sink_label_hits},
 };
 
 }  // namespace ispn::scenario

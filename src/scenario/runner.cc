@@ -20,6 +20,12 @@ namespace {
 /// streams above 2^32 keeps them disjoint from any small constant.
 constexpr std::uint64_t kWorkloadStream = 0xFAB;
 constexpr std::uint64_t kSourceStreamBase = 1ull << 32;
+
+/// The class a flow's packets enter the network at (the first hop's).
+std::uint8_t first_hop_priority(const core::IspnNetwork::FlowHandle& h) {
+  const auto& per_hop = h.commitment.priority_per_hop;
+  return per_hop.empty() ? 0 : static_cast<std::uint8_t>(per_hop[0]);
+}
 }  // namespace
 
 void ScenarioRunner::Sink::on_packet(net::PacketPtr p, sim::Time now) {
@@ -213,12 +219,12 @@ void ScenarioRunner::on_link_event(net::NodeId a, net::NodeId b, bool up) {
   if (net().link_up(a, b) == up) return;
   net().set_link_up(a, b, up);
   if (up) {
-    ++links_repaired_;
+    ++report_.links_repaired;
     // A recovered link can shorten the path of a flow that never crossed
     // it, so recovery must sweep every active flow.
     revalidate_flows(active_);
   } else {
-    ++links_failed_;
+    ++report_.links_failed;
     // A downed link only disturbs flows registered across it — removing
     // an edge cannot shorten anyone else's shortest path — so the
     // per-link index bounds this sweep by the crossing flows.
@@ -229,14 +235,14 @@ void ScenarioRunner::on_link_event(net::NodeId a, net::NodeId b, bool up) {
 void ScenarioRunner::on_node_event(net::NodeId node, bool up) {
   if (net().node_up(node) == up) return;  // overlapping events collapse
   if (up) {
-    ++nodes_recovered_;
+    ++report_.nodes_recovered;
     net().set_node_up(node, true);
     // Recovery can shorten the path of flows that never touched this
     // switch, so it sweeps everything (same rule as a link repair).
     revalidate_flows(active_);
     return;
   }
-  ++nodes_crashed_;
+  ++report_.nodes_crashed;
   // Gather the union of flows crossing ANY incident link before the
   // flush — the per-link index is exact for downs, and a crash is one
   // atomic down of the whole incident star.
@@ -258,7 +264,7 @@ void ScenarioRunner::on_node_event(net::NodeId node, bool up) {
 void ScenarioRunner::on_brownout(net::NodeId a, net::NodeId b, bool start,
                                  double fraction) {
   const sim::Time now = net().sim().now();
-  if (start) ++brownouts_;
+  if (start) ++report_.brownouts;
   const core::LinkId fwd{a, b};
   const core::LinkId rev{b, a};
   const sim::Rate target =
@@ -313,7 +319,7 @@ void ScenarioRunner::shed_overcommit(core::LinkId link) {
 
 void ScenarioRunner::on_loss(net::NodeId a, net::NodeId b, bool start,
                              double prob) {
-  if (start) ++loss_episodes_;
+  if (start) ++report_.loss_episodes;
   for (const core::LinkId& link : {core::LinkId{a, b}, core::LinkId{b, a}}) {
     net::Port* port = net().port(link.first, link.second);
     if (port == nullptr) continue;
@@ -348,7 +354,7 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
   if (halted_ || !rec.active || !rec.degraded || !rec.saved_spec) return;
   const core::FlowSpec want = *rec.saved_spec;
   ++rec.restore_attempts;
-  ++restore_attempts_;
+  ++report_.restore_attempts;
   // Offer the original service on the CURRENT shortest path.  The flow
   // holds no commitment while degraded, so this is a fresh §9 admission
   // against the live measurements.
@@ -359,29 +365,19 @@ void ScenarioRunner::try_restore(net::FlowId flow) {
       rec.degraded = false;
       rec.restore_attempts = 0;
       rec.restore_backoff = 0;
-      ++flows_restored_;
-      if (want.service == net::ServiceClass::kGuaranteed) {
-        const traffic::TokenBucketSpec bucket{
-            want.guaranteed->clock_rate,
-            sim::paper::kBucketPackets * spec_.packet_bits};
-        rec.bound =
-            ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-      } else {
-        rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
-      }
-      const std::uint8_t priority =
-          rec.handle.commitment.priority_per_hop.empty()
-              ? 0
-              : static_cast<std::uint8_t>(
-                    rec.handle.commitment.priority_per_hop[0]);
-      rec.source->set_service(rec.handle.spec.service, priority);
+      ++report_.flows_restored;
+      rec.bound = want.service == net::ServiceClass::kGuaranteed
+                      ? pg_bound(rec.handle)
+                      : rec.handle.commitment.advertised_bound.value_or(0.0);
+      rec.source->set_service(rec.handle.spec.service,
+                              first_hop_priority(rec.handle));
       bump_epoch(rec);
       AdmissionDecision d;
       d.time = net().sim().now();
       d.flow = flow;
       d.service = want.service;
       d.kind = AdmissionDecision::Kind::kRestored;
-      record(d);
+      report_.decisions.push_back(d);
       return;
     }
   }
@@ -398,19 +394,32 @@ void ScenarioRunner::schedule_audit() {
   });
 }
 
+template <class Ledger>
+void ScenarioRunner::add_flow_buckets(Ledger& out) {
+  for (const FlowRec& rec : flows_) {
+    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
+    out.generated += st.generated;
+    out.source_drops += st.source_drops;
+    out.injected += st.injected;
+    out.net_drops += st.net_drops;
+    out.failed_link_drops += st.failed_link_drops;
+    out.node_failure_drops += st.node_failure_drops;
+    out.fault_drops += st.fault_drops;
+  }
+}
+
+double ScenarioRunner::pg_bound(
+    const core::IspnNetwork::FlowHandle& handle) const {
+  const traffic::TokenBucketSpec bucket{
+      handle.spec.guaranteed->clock_rate,
+      sim::paper::kBucketPackets * spec_.packet_bits};
+  return ispn_.guaranteed_bound(handle, bucket, spec_.packet_bits);
+}
+
 std::size_t ScenarioRunner::audit_now() {
   if (!monitor_) return 0;
   InvariantMonitor::Ledger led;
-  for (const FlowRec& rec : flows_) {
-    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
-    led.generated += st.generated;
-    led.source_drops += st.source_drops;
-    led.injected += st.injected;
-    led.net_drops += st.net_drops;
-    led.failed_link_drops += st.failed_link_drops;
-    led.node_failure_drops += st.node_failure_drops;
-    led.fault_drops += st.fault_drops;
-  }
+  add_flow_buckets(led);
   led.delivered = delivered();
   led.queued = queued_now();
   led.in_transit = net().handoff_in_transit();
@@ -469,39 +478,25 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
         // class assignment, so the source's priority stamp refreshes.
         rec.bound =
             rec.handle.commitment.advertised_bound.value_or(rec.bound);
-        const std::uint8_t kept_priority =
-            rec.handle.commitment.priority_per_hop.empty()
-                ? 0
-                : static_cast<std::uint8_t>(
-                      rec.handle.commitment.priority_per_hop[0]);
-        rec.source->set_service(rec.handle.spec.service, kept_priority);
+        rec.source->set_service(rec.handle.spec.service,
+                                first_hop_priority(rec.handle));
         return;
       }
-      ++flows_rerouted_;
+      ++report_.flows_rerouted;
       ++rec.reroutes;
-      if (original == net::ServiceClass::kGuaranteed) {
-        const traffic::TokenBucketSpec bucket{
-            rec.handle.spec.guaranteed->clock_rate,
-            sim::paper::kBucketPackets * spec_.packet_bits};
-        rec.bound =
-            ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
-      } else {
-        rec.bound =
-            rec.handle.commitment.advertised_bound.value_or(rec.bound);
-      }
+      rec.bound =
+          original == net::ServiceClass::kGuaranteed
+              ? pg_bound(rec.handle)
+              : rec.handle.commitment.advertised_bound.value_or(rec.bound);
       // The new path may carry a different per-hop class assignment.
-      const std::uint8_t priority =
-          rec.handle.commitment.priority_per_hop.empty()
-              ? 0
-              : static_cast<std::uint8_t>(
-                    rec.handle.commitment.priority_per_hop[0]);
-      rec.source->set_service(rec.handle.spec.service, priority);
+      rec.source->set_service(rec.handle.spec.service,
+                              first_hop_priority(rec.handle));
       bump_epoch(rec);
       d.kind = AdmissionDecision::Kind::kRerouted;
       break;
     }
     case core::IspnNetwork::RerouteOutcome::kDegraded:
-      ++flows_degraded_;
+      ++report_.flows_degraded;
       rec.degraded = true;
       rec.bound = 0;
       rec.source->set_service(net::ServiceClass::kDatagram, 0);
@@ -522,15 +517,15 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
       --open_count_;
       active_.erase(std::find(active_.begin(), active_.end(), flow));
       if (outcome == core::IspnNetwork::RerouteOutcome::kClosed) {
-        ++flows_preempted_;
+        ++report_.flows_preempted;
         d.kind = AdmissionDecision::Kind::kPreempted;
       } else {
-        ++flows_orphaned_;
+        ++report_.flows_orphaned;
         d.kind = AdmissionDecision::Kind::kOrphaned;
       }
       break;
   }
-  record(d);
+  report_.decisions.push_back(d);
 }
 
 void ScenarioRunner::bump_epoch(FlowRec& rec) {
@@ -583,10 +578,6 @@ core::FlowSpec ScenarioRunner::draw_spec() {
   return fs;
 }
 
-void ScenarioRunner::record(const AdmissionDecision& d) {
-  decisions_.push_back(d);
-}
-
 void ScenarioRunner::open_flow(const core::FlowSpec& fs,
                                sim::Duration start_offset) {
   assert(static_cast<std::size_t>(fs.flow) == flows_.size());
@@ -608,7 +599,7 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
   };
 
   rec.handle = ispn_.try_open_flow(fs);
-  record(outcome(rec.handle));
+  report_.decisions.push_back(outcome(rec.handle));
   // Guaranteed rejections may make room by evicting predicted flows on
   // the refusing hop, one victim per retry.  Each eviction releases the
   // victim's committed rate immediately, so under parameter-based
@@ -626,24 +617,20 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
       break;
     }
     rec.handle = ispn_.try_open_flow(fs);
-    record(outcome(rec.handle));
+    report_.decisions.push_back(outcome(rec.handle));
   }
 
   if (!rec.handle.commitment.admitted) {
-    ++flows_rejected_;
+    ++report_.flows_rejected;
     return;
   }
-  ++flows_admitted_;
+  ++report_.flows_admitted;
   ++open_count_;
   rec.active = true;
   active_.push_back(fs.flow);
 
   if (fs.service == net::ServiceClass::kGuaranteed) {
-    const traffic::TokenBucketSpec bucket{
-        fs.guaranteed->clock_rate,
-        sim::paper::kBucketPackets * spec_.packet_bits};
-    rec.bound =
-        ispn_.guaranteed_bound(rec.handle, bucket, spec_.packet_bits);
+    rec.bound = pg_bound(rec.handle);
   } else if (fs.service == net::ServiceClass::kPredicted) {
     rec.bound = rec.handle.commitment.advertised_bound.value_or(0.0);
   }
@@ -679,13 +666,13 @@ bool ScenarioRunner::preempt_on(core::LinkId link) {
     cand.active = false;
     cand.closed = net().sim().now();
     --open_count_;
-    ++flows_preempted_;
+    ++report_.flows_preempted;
     AdmissionDecision d;
     d.time = net().sim().now();
     d.flow = cand.handle.spec.flow;
     d.service = cand.handle.spec.service;
     d.kind = AdmissionDecision::Kind::kPreempted;
-    record(d);
+    report_.decisions.push_back(d);
     active_.erase(std::next(it).base());
     return true;
   }
@@ -806,12 +793,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     }
   }
 
-  const std::uint8_t priority =
-      rec.handle.commitment.priority_per_hop.empty()
-          ? 0
-          : static_cast<std::uint8_t>(
-                rec.handle.commitment.priority_per_hop[0]);
-  rec.source->set_service(fs.service, priority);
+  rec.source->set_service(fs.service, first_hop_priority(rec.handle));
   if (net().sharded()) rec.source->set_pool(&net().pool_for(fs.src));
   // Control time is a window barrier, so `now + offset` is never in a
   // window a domain has already executed.
@@ -948,10 +930,9 @@ ScenarioReport ScenarioRunner::finish() {
     }
   }
 
-  ScenarioReport report;
-  report.spec_summary = spec_.describe();
-  report.end_time = net().sim().now();
-  report.events = events_processed();
+  report_.spec_summary = spec_.describe();
+  report_.end_time = net().sim().now();
+  report_.events = events_processed();
 
   // Final invariant audit against the fully drained end state (queues and
   // mailboxes empty, every bucket settled).
@@ -962,18 +943,12 @@ ScenarioReport ScenarioRunner::finish() {
     if (!monitor_->violations().empty()) {
       std::fputs(monitor_->report().c_str(), stderr);
     }
+    report_.invariant_audits = monitor_->audits();
+    report_.invariant_violations = monitor_->violations().size();
   }
 
+  add_flow_buckets(report_);
   for (const FlowRec& rec : flows_) {
-    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
-    report.generated += st.generated;
-    report.source_drops += st.source_drops;
-    report.injected += st.injected;
-    report.net_drops += st.net_drops;
-    report.failed_link_drops += st.failed_link_drops;
-    report.node_failure_drops += st.node_failure_drops;
-    report.fault_drops += st.fault_drops;
-
     FlowOutcome out;
     out.flow = rec.handle.spec.flow;
     out.service = rec.handle.spec.service;
@@ -988,85 +963,55 @@ ScenarioReport ScenarioRunner::finish() {
     out.degraded = rec.degraded;
     out.path_epochs = rec.epochs_seen;
     out.max_delay_all = rec.max_delay_all;
-    report.flows.push_back(out);
+    report_.flows.push_back(out);
 
     if (rec.tcp != nullptr) {
-      ++report.cc_flows;
-      report.tcp_segments += rec.tcp->sent_segments();
-      report.tcp_delivered += rec.tcp->delivered();
-      report.tcp_retransmits += rec.tcp->retransmits();
-      report.tcp_timeouts += rec.tcp->timeouts();
-      report.tcp_reorder_timeouts += rec.tcp->reorder_timeouts();
-      report.cc_echoes += rec.tcp->echoes_received();
-      report.cc_backoffs += rec.tcp->fb_backoffs();
+      ++report_.cc_flows;
+      report_.tcp_segments += rec.tcp->sent_segments();
+      report_.tcp_delivered += rec.tcp->delivered();
+      report_.tcp_retransmits += rec.tcp->retransmits();
+      report_.tcp_timeouts += rec.tcp->timeouts();
+      report_.tcp_reorder_timeouts += rec.tcp->reorder_timeouts();
+      report_.cc_echoes += rec.tcp->echoes_received();
+      report_.cc_backoffs += rec.tcp->fb_backoffs();
     }
   }
-  report.delivered = delivered();
-  report.queued_end = queued_now();
+  report_.flows_offered = flows_.size();
+  report_.delivered = delivered();
+  report_.queued_end = queued_now();
 
-  std::set<net::NodeId> hosts;
-  for (const auto& [a, b] : fabric_.od_long) {
-    hosts.insert(a);
-    hosts.insert(b);
-  }
-  for (const auto& [a, b] : fabric_.od_short) {
-    hosts.insert(a);
-    hosts.insert(b);
-  }
-  for (const net::NodeId h : hosts) {
-    report.unclaimed += net().host(h).unclaimed();
-  }
-
-  // Flow-locality cache totals across every node in the fabric (the
-  // adjacency holds every connected node; hosts carry sink caches,
-  // switches route caches).
+  // Stranded packets and the flow-locality cache totals, across every
+  // node in the fabric (the adjacency holds every connected node; hosts
+  // carry sink caches, switches route caches).
   for (const auto& [id, neighbors] : net().adjacency()) {
     (void)neighbors;
     if (net().is_host(id)) {
-      report.sink_cache_hits += net().host(id).sink_cache_hits();
-      report.sink_cache_misses += net().host(id).sink_cache_misses();
-      report.sink_label_hits += net().host(id).sink_label_hits();
+      const net::Host& host = net().host(id);
+      report_.unclaimed += host.unclaimed();
+      report_.sink_cache_hits += host.sink_cache_hits();
+      report_.sink_cache_misses += host.sink_cache_misses();
+      report_.sink_label_hits += host.sink_label_hits();
     } else {
-      report.route_cache_hits += net().switch_node(id).route_cache_hits();
-      report.route_cache_misses += net().switch_node(id).route_cache_misses();
+      report_.route_cache_hits += net().switch_node(id).route_cache_hits();
+      report_.route_cache_misses +=
+          net().switch_node(id).route_cache_misses();
     }
   }
 
-  report.flows_offered = flows_.size();
-  report.flows_admitted = flows_admitted_;
-  report.flows_rejected = flows_rejected_;
-  report.flows_preempted = flows_preempted_;
-  report.links_failed = links_failed_;
-  report.links_repaired = links_repaired_;
-  report.flows_rerouted = flows_rerouted_;
-  report.flows_degraded = flows_degraded_;
-  report.flows_orphaned = flows_orphaned_;
-  report.nodes_crashed = nodes_crashed_;
-  report.nodes_recovered = nodes_recovered_;
-  report.brownouts = brownouts_;
-  report.loss_episodes = loss_episodes_;
-  report.flows_restored = flows_restored_;
-  report.restore_attempts = restore_attempts_;
-  if (monitor_) {
-    report.invariant_audits = monitor_->audits();
-    report.invariant_violations = monitor_->violations().size();
-  }
-  report.decisions = decisions_;
-  report.classes = merged_classes();
-
+  report_.classes = merged_classes();
   for (const core::LinkId& link : ispn_.links()) {
-    report.cc_marks += ispn_.scheduler(link).cong_marks();
-    report.cc_mark_samples += ispn_.scheduler(link).mark_samples();
+    report_.cc_marks += ispn_.scheduler(link).cong_marks();
+    report_.cc_mark_samples += ispn_.scheduler(link).mark_samples();
     LinkReport lr;
     lr.link = link;
-    lr.utilization = report.end_time > 0
-                         ? ispn_.link_utilization(link, report.end_time)
+    lr.utilization = report_.end_time > 0
+                         ? ispn_.link_utilization(link, report_.end_time)
                          : 0.0;
     lr.realtime_utilization =
-        ispn_.realtime_utilization(link, report.end_time);
-    report.links.push_back(lr);
+        ispn_.realtime_utilization(link, report_.end_time);
+    report_.links.push_back(lr);
   }
-  return report;
+  return std::move(report_);
 }
 
 }  // namespace ispn::scenario

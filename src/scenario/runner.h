@@ -97,9 +97,10 @@ class ScenarioRunner {
     return n;
   }
 
-  /// Admission decisions so far (grows during the run).
+  /// Admission decisions so far (grows during the run; finish() hands
+  /// them over with the report).
   [[nodiscard]] const std::vector<AdmissionDecision>& decisions() const {
-    return decisions_;
+    return report_.decisions;
   }
 
   /// The invariant monitor, or nullptr when invariant_cadence is 0.
@@ -263,7 +264,15 @@ class ScenarioRunner {
   void try_restore(net::FlowId flow);
   /// Self-rescheduling invariant audit (invariant_cadence > 0).
   void schedule_audit();
-  void record(const AdmissionDecision& d);
+  /// Adds every flow's seven source/network ledger buckets (generated
+  /// through fault_drops) into `out`, an InvariantMonitor::Ledger or the
+  /// report: both name the buckets alike.
+  template <class Ledger>
+  void add_flow_buckets(Ledger& out);
+  /// Parekh–Gallager bound of an admitted guaranteed flow, for the token
+  /// bucket its source is policed to.
+  [[nodiscard]] double pg_bound(
+      const core::IspnNetwork::FlowHandle& handle) const;
   /// Advances a flow's path epoch after a reroute/degrade (satellite of
   /// the sharded-core PR: per-path-epoch delay segmentation).
   void bump_epoch(FlowRec& rec);
@@ -292,24 +301,13 @@ class ScenarioRunner {
   int open_count_ = 0;
   std::deque<FlowRec> flows_;          ///< indexed by FlowId; stable refs
   std::vector<net::FlowId> active_;    ///< open order (preemption scans back)
-  std::vector<AdmissionDecision> decisions_;
   /// One per domain (one total on the classic path); sized once in
   /// prepare() — deque, so Sink pointers into it stay stable.
   std::deque<DomainAgg> aggs_;
-  std::uint64_t flows_admitted_ = 0;
-  std::uint64_t flows_rejected_ = 0;
-  std::uint64_t flows_preempted_ = 0;
-  std::uint64_t links_failed_ = 0;
-  std::uint64_t links_repaired_ = 0;
-  std::uint64_t flows_rerouted_ = 0;
-  std::uint64_t flows_degraded_ = 0;
-  std::uint64_t flows_orphaned_ = 0;
-  std::uint64_t nodes_crashed_ = 0;
-  std::uint64_t nodes_recovered_ = 0;
-  std::uint64_t brownouts_ = 0;
-  std::uint64_t loss_episodes_ = 0;
-  std::uint64_t flows_restored_ = 0;
-  std::uint64_t restore_attempts_ = 0;
+  /// Control events count straight into the report (admission decisions,
+  /// failure and fault counters); finish() fills in the rest and hands
+  /// it over.
+  ScenarioReport report_;
   std::unique_ptr<InvariantMonitor> monitor_;
 };
 

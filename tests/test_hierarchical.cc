@@ -14,11 +14,11 @@
 //      arrival schedule, generated packets) is identical flat vs
 //      hierarchical.
 //   3. The flow-locality cache counters (ScenarioReport route/sink cache
-//      hits/misses) are a pure function of the packet sequence, hence
-//      byte-identical across virtual-time ordering backends, in BOTH
-//      modes.  (Flat-path byte-identity
-//      itself is pinned by test_scenario_golden; this file extends the
-//      cross-backend invariant to the new counters and the new mode.)
+//      hits/misses), like every other counter in kReportCounters, are a
+//      pure function of the packet sequence, hence byte-identical across
+//      virtual-time ordering backends, in BOTH modes.  (Flat-path
+//      byte-identity itself is pinned by test_scenario_golden; this file
+//      extends the cross-backend invariant to the hierarchical mode.)
 
 #include <gtest/gtest.h>
 
@@ -123,15 +123,10 @@ TEST(Hierarchical, CacheCountersByteIdenticalAcrossBackends) {
                               sched::OrderBackend::kCalendar);
     const std::string what = std::string("hierarchical=") +
                              (hierarchical ? "1" : "0") + " under calendar";
-    EXPECT_EQ(ref.route_cache_hits, got.route_cache_hits) << what;
-    EXPECT_EQ(ref.route_cache_misses, got.route_cache_misses) << what;
-    EXPECT_EQ(ref.sink_cache_hits, got.sink_cache_hits) << what;
-    EXPECT_EQ(ref.sink_cache_misses, got.sink_cache_misses) << what;
-    EXPECT_EQ(ref.sink_label_hits, got.sink_label_hits) << what;
+    for (const scenario::ReportCounter& c : scenario::kReportCounters) {
+      EXPECT_EQ(ref.*c.field, got.*c.field) << what << ": " << c.name;
+    }
     EXPECT_EQ(ref.decision_hash(), got.decision_hash()) << what;
-    EXPECT_EQ(ref.delivered, got.delivered) << what;
-    EXPECT_EQ(ref.generated, got.generated) << what;
-    EXPECT_EQ(ref.events, got.events) << what;
   }
 }
 

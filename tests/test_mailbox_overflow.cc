@@ -18,35 +18,10 @@
 #include <vector>
 
 #include "alloc_hook.h"
-#include "net/tracer.h"
-#include "scenario/runner.h"
+#include "scenario_test_util.h"
 
 namespace ispn {
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t hash_trace(const std::vector<net::PacketTracer::Record>& recs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : recs) {
-    h = fnv1a(h, &r.time, sizeof r.time);
-    const auto event = static_cast<std::uint8_t>(r.event);
-    h = fnv1a(h, &event, sizeof event);
-    h = fnv1a(h, &r.flow, sizeof r.flow);
-    h = fnv1a(h, &r.seq, sizeof r.seq);
-    h = fnv1a(h, &r.node, sizeof r.node);
-    h = fnv1a(h, &r.queueing_delay, sizeof r.queueing_delay);
-    h = fnv1a(h, &r.jitter_offset, sizeof r.jitter_offset);
-  }
-  return h;
-}
 
 /// A sharded fan-in burst: every source opens at t=0 and floods toward
 /// the root, so the aggregation links hand dense packet trains across
@@ -125,7 +100,7 @@ BurstRun run_burst(std::size_t mailbox_cap, bool traced) {
   if (traced) {
     tracer.finalize();
     EXPECT_FALSE(tracer.truncated());
-    out.trace_hash = hash_trace(tracer.records());
+    out.trace_hash = scenario_test::hash_trace(tracer.records());
     for (const auto& r : tracer.records()) {
       if (r.event == net::PacketTracer::Event::kDeliver) {
         out.delivered_seqs[r.flow].push_back(r.seq);

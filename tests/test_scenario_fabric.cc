@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "net/topology.h"
 #include "scenario/runner.h"
@@ -257,14 +260,41 @@ TEST(Runner, SmallLiveAdmissionRunConservesAndReports) {
     }
   }
 
-  // The text and JSON renderings at least produce output mentioning the
-  // conservation verdict.
+  // The text and JSON renderings carry the conservation verdict, and the
+  // JSON writes doubles at full precision without changing the stream's.
   std::ostringstream text;
   report.to_text(text);
   EXPECT_NE(text.str().find("[OK]"), std::string::npos);
   std::ostringstream json;
   report.to_json(json);
   EXPECT_NE(json.str().find("\"conserved\": true"), std::string::npos);
+  char end_time[64];
+  std::snprintf(end_time, sizeof end_time, "\"end_time\": %.17g,",
+                report.end_time);
+  EXPECT_NE(json.str().find(end_time), std::string::npos) << json.str();
+  EXPECT_EQ(json.precision(), std::ostringstream().precision());
+}
+
+TEST(Report, RendersEveryCounterOfTheTable) {
+  scenario::ScenarioReport report;
+  std::set<std::string_view> names;
+  std::uint64_t value = 1000;
+  for (const scenario::ReportCounter& c : scenario::kReportCounters) {
+    EXPECT_TRUE(names.insert(c.name).second) << "duplicate name " << c.name;
+    report.*c.field = value++;
+  }
+  std::ostringstream text;
+  report.to_text(text);
+  std::ostringstream json;
+  report.to_json(json);
+  value = 1000;
+  for (const scenario::ReportCounter& c : scenario::kReportCounters) {
+    const std::string name(c.name);
+    const std::string v = std::to_string(value++);
+    EXPECT_NE(json.str().find("\"" + name + "\": " + v), std::string::npos)
+        << name;
+    EXPECT_NE(text.str().find(name + " " + v), std::string::npos) << name;
+  }
 }
 
 TEST(Runner, PreemptionMakesRoomForGuaranteed) {

@@ -4,12 +4,13 @@
 // the SPEC alone — the per-switch domain decomposition, the lookahead
 // window grid and the mailbox merge order are all derived from the
 // topology, never from the worker count.  So for any scenario, shard
-// counts {1, 2, 3, 4} must produce BYTE-IDENTICAL packet traces, admission decision logs,
-// conservation ledgers and per-flow outcome tables (doubles compared
-// bit-exactly).  Three fabrics are fuzzed across seeds: a three-level
-// fan-in tree (many domains, deep aggregation), an overloaded parking
-// lot (drops + pushout) and a mesh under seeded link failures (reroutes,
-// degradation, path epochs).
+// counts {1, 2, 3, 4} must produce BYTE-IDENTICAL runs under
+// expect_same_run (scenario_test_util.h): packet traces, decision logs,
+// every report counter, per-class statistics, link utilisation and
+// per-flow outcome tables (doubles compared bit-exactly).  Three fabrics
+// are fuzzed across seeds: a three-level fan-in tree (many domains, deep
+// aggregation), an overloaded parking lot (drops + pushout) and a mesh
+// under seeded link failures (reroutes, degradation, path epochs).
 //
 // The building blocks get their own unit tests: the SPSC handoff ring
 // (order, wrap, full/empty, a real producer thread), the LinkMailbox
@@ -27,8 +28,7 @@
 #include <vector>
 
 #include "net/handoff.h"
-#include "net/tracer.h"
-#include "scenario/runner.h"
+#include "scenario_test_util.h"
 #include "sim/shard.h"
 #include "util/spsc_ring.h"
 
@@ -184,160 +184,16 @@ TEST(LinkMailbox, PreservesPushOrderAcrossRingOverflow) {
 
 // --- whole-scenario byte-identity -----------------------------------------
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using scenario_test::TracedRun;
 
-struct ShardRun {
-  std::vector<net::PacketTracer::Record> trace;
-  std::uint64_t decision_hash = 0;
-  std::uint64_t events = 0;
-  // Conservation ledger.
-  std::uint64_t generated = 0, source_drops = 0, injected = 0, delivered = 0,
-                net_drops = 0, failed_link_drops = 0, queued_end = 0,
-                unclaimed = 0;
-  std::vector<scenario::FlowOutcome> flows;
-  std::uint64_t reroutes = 0, degraded = 0;
-  // Fault-plane counters and drop buckets (PR 9).
-  std::uint64_t node_failure_drops = 0, fault_drops = 0;
-  std::uint64_t nodes_crashed = 0, brownouts = 0, loss_episodes = 0;
-  std::uint64_t flows_restored = 0, restore_attempts = 0;
-  std::uint64_t invariant_violations = 0;
-  // Responsive-traffic counters (PR 10).
-  std::uint64_t cc_flows = 0, cc_marks = 0, cc_echoes = 0, cc_backoffs = 0;
-  std::uint64_t tcp_segments = 0, tcp_retransmits = 0;
-  int workers = 0;  // threads the engine actually ran
-};
-
-ShardRun run_sharded(scenario::ScenarioSpec spec, int shards) {
+TracedRun run_sharded(scenario::ScenarioSpec spec, int shards) {
   spec.shards = shards;
-  scenario::ScenarioRunner runner(std::move(spec));
-  net::PacketTracer tracer(1u << 22);
-  runner.set_tracer(&tracer);
-  runner.prepare();
-  tracer.attach(runner.net());
-  const scenario::ScenarioReport report = runner.run();
-  tracer.finalize();
-
-  EXPECT_FALSE(tracer.truncated());
-  EXPECT_TRUE(report.conserved());
-  ShardRun out;
-  out.trace = tracer.records();
-  out.decision_hash = report.decision_hash();
-  out.events = report.events;
-  out.generated = report.generated;
-  out.source_drops = report.source_drops;
-  out.injected = report.injected;
-  out.delivered = report.delivered;
-  out.net_drops = report.net_drops;
-  out.failed_link_drops = report.failed_link_drops;
-  out.queued_end = report.queued_end;
-  out.unclaimed = report.unclaimed;
-  out.flows = report.flows;
-  out.reroutes = report.flows_rerouted;
-  out.degraded = report.flows_degraded;
-  out.node_failure_drops = report.node_failure_drops;
-  out.fault_drops = report.fault_drops;
-  out.nodes_crashed = report.nodes_crashed;
-  out.brownouts = report.brownouts;
-  out.loss_episodes = report.loss_episodes;
-  out.flows_restored = report.flows_restored;
-  out.restore_attempts = report.restore_attempts;
-  out.invariant_violations = report.invariant_violations;
-  out.cc_flows = report.cc_flows;
-  out.cc_marks = report.cc_marks;
-  out.cc_echoes = report.cc_echoes;
-  out.cc_backoffs = report.cc_backoffs;
-  out.tcp_segments = report.tcp_segments;
-  out.tcp_retransmits = report.tcp_retransmits;
-  out.workers = runner.engine()->workers();
-  return out;
+  return scenario_test::traced_run(std::move(spec));
 }
 
-std::uint64_t hash_trace(const std::vector<net::PacketTracer::Record>& recs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : recs) {
-    h = fnv1a(h, &r.time, sizeof r.time);
-    const auto event = static_cast<std::uint8_t>(r.event);
-    h = fnv1a(h, &event, sizeof event);
-    h = fnv1a(h, &r.flow, sizeof r.flow);
-    h = fnv1a(h, &r.seq, sizeof r.seq);
-    h = fnv1a(h, &r.node, sizeof r.node);
-    h = fnv1a(h, &r.queueing_delay, sizeof r.queueing_delay);
-    h = fnv1a(h, &r.jitter_offset, sizeof r.jitter_offset);
-  }
-  return h;
-}
-
-void expect_identical(const ShardRun& ref, const ShardRun& got,
-                      const std::string& what) {
-  // Full record-by-record trace comparison (bit-exact doubles), not just a
-  // hash: a diff pinpoints the first diverging record.
-  ASSERT_EQ(ref.trace.size(), got.trace.size()) << what;
-  for (std::size_t i = 0; i < ref.trace.size(); ++i) {
-    const auto& a = ref.trace[i];
-    const auto& b = got.trace[i];
-    ASSERT_TRUE(a.time == b.time && a.event == b.event && a.flow == b.flow &&
-                a.seq == b.seq && a.node == b.node &&
-                a.queueing_delay == b.queueing_delay &&
-                a.jitter_offset == b.jitter_offset)
-        << what << ": first divergence at record " << i << " (t=" << a.time
-        << " vs " << b.time << ")";
-  }
-  EXPECT_EQ(hash_trace(ref.trace), hash_trace(got.trace)) << what;
-  EXPECT_EQ(ref.decision_hash, got.decision_hash) << what;
-  EXPECT_EQ(ref.events, got.events) << what;
-
-  EXPECT_EQ(ref.generated, got.generated) << what;
-  EXPECT_EQ(ref.source_drops, got.source_drops) << what;
-  EXPECT_EQ(ref.injected, got.injected) << what;
-  EXPECT_EQ(ref.delivered, got.delivered) << what;
-  EXPECT_EQ(ref.net_drops, got.net_drops) << what;
-  EXPECT_EQ(ref.failed_link_drops, got.failed_link_drops) << what;
-  EXPECT_EQ(ref.queued_end, got.queued_end) << what;
-  EXPECT_EQ(ref.unclaimed, got.unclaimed) << what;
-  EXPECT_EQ(ref.node_failure_drops, got.node_failure_drops) << what;
-  EXPECT_EQ(ref.fault_drops, got.fault_drops) << what;
-  EXPECT_EQ(ref.nodes_crashed, got.nodes_crashed) << what;
-  EXPECT_EQ(ref.brownouts, got.brownouts) << what;
-  EXPECT_EQ(ref.loss_episodes, got.loss_episodes) << what;
-  EXPECT_EQ(ref.flows_restored, got.flows_restored) << what;
-  EXPECT_EQ(ref.restore_attempts, got.restore_attempts) << what;
-  EXPECT_EQ(ref.invariant_violations, got.invariant_violations) << what;
-  EXPECT_EQ(ref.cc_flows, got.cc_flows) << what;
-  EXPECT_EQ(ref.cc_marks, got.cc_marks) << what;
-  EXPECT_EQ(ref.cc_echoes, got.cc_echoes) << what;
-  EXPECT_EQ(ref.cc_backoffs, got.cc_backoffs) << what;
-  EXPECT_EQ(ref.tcp_segments, got.tcp_segments) << what;
-  EXPECT_EQ(ref.tcp_retransmits, got.tcp_retransmits) << what;
-
-  ASSERT_EQ(ref.flows.size(), got.flows.size()) << what;
-  for (std::size_t i = 0; i < ref.flows.size(); ++i) {
-    const auto& a = ref.flows[i];
-    const auto& b = got.flows[i];
-    EXPECT_EQ(a.flow, b.flow) << what;
-    EXPECT_EQ(a.service, b.service) << what;
-    EXPECT_EQ(a.admitted, b.admitted) << what;
-    EXPECT_EQ(a.hops, b.hops) << what;
-    EXPECT_EQ(a.delivered, b.delivered) << what << " flow " << a.flow;
-    EXPECT_EQ(a.max_delay, b.max_delay) << what << " flow " << a.flow;
-    EXPECT_EQ(a.max_delay_all, b.max_delay_all) << what << " flow " << a.flow;
-    EXPECT_EQ(a.bound, b.bound) << what << " flow " << a.flow;
-    EXPECT_EQ(a.reroutes, b.reroutes) << what;
-    EXPECT_EQ(a.degraded, b.degraded) << what;
-    EXPECT_EQ(a.path_epochs, b.path_epochs) << what;
-    EXPECT_EQ(a.opened, b.opened) << what;
-    EXPECT_EQ(a.closed, b.closed) << what;
-  }
-}
-
-void shard_diff(const scenario::ScenarioSpec& spec, const char* label) {
-  const ShardRun ref = run_sharded(spec, 1);
+/// Compares `spec` at 2, 3 and 4 workers against `ref`, its 1-worker run.
+void shard_diff(const TracedRun& ref, const scenario::ScenarioSpec& spec,
+                const char* label) {
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
   // 3 workers split the domains unevenly.  The engine never starts more
@@ -346,10 +202,10 @@ void shard_diff(const scenario::ScenarioSpec& spec, const char* label) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::string clamped;
   for (const int shards : {2, 3, 4}) {
-    const ShardRun got = run_sharded(spec, shards);
-    expect_identical(ref, got,
-                     std::string(label) + " under shards = " +
-                         std::to_string(shards));
+    const TracedRun got = run_sharded(spec, shards);
+    scenario_test::expect_same_run(
+        ref, got,
+        std::string(label) + " under shards = " + std::to_string(shards));
     if (hw > 0 && static_cast<unsigned>(shards) > hw) {
       clamped += " " + std::to_string(shards) + "->" +
                  std::to_string(got.workers);
@@ -369,7 +225,8 @@ TEST(ShardDiff, FanInTreeByteIdenticalAcrossShardCounts) {
     spec.mean_hold = 2.0;
     spec.target_flows = 24;
     spec.seed = seed;
-    shard_diff(spec, ("fan-in tree seed " + std::to_string(seed)).c_str());
+    shard_diff(run_sharded(spec, 1), spec,
+               ("fan-in tree seed " + std::to_string(seed)).c_str());
   }
 }
 
@@ -384,9 +241,9 @@ TEST(ShardDiff, OverloadedParkingLotByteIdenticalAcrossShardCounts) {
   spec.p_predicted = 0.35;
   spec.seed = 33;
 
-  const ShardRun ref = run_sharded(spec, 1);
-  EXPECT_GT(ref.net_drops, 0u) << "parking lot never overloaded";
-  shard_diff(spec, "overloaded parking lot");
+  const TracedRun ref = run_sharded(spec, 1);
+  EXPECT_GT(ref.report.net_drops, 0u) << "parking lot never overloaded";
+  shard_diff(ref, spec, "overloaded parking lot");
 }
 
 TEST(ShardDiff, MeshWithFailuresByteIdenticalAcrossShardCounts) {
@@ -395,12 +252,12 @@ TEST(ShardDiff, MeshWithFailuresByteIdenticalAcrossShardCounts) {
   spec.seed = 36;  // 7 link-downs: reroutes, degrades, orphans AND in-flight
                    // packets caught on failing links, all in one run
 
-  const ShardRun ref = run_sharded(spec, 1);
-  EXPECT_GT(ref.reroutes + ref.degraded, 0u)
+  const TracedRun ref = run_sharded(spec, 1);
+  EXPECT_GT(ref.report.flows_rerouted + ref.report.flows_degraded, 0u)
       << "failures never disturbed an admitted flow";
-  EXPECT_GT(ref.failed_link_drops, 0u)
+  EXPECT_GT(ref.report.failed_link_drops, 0u)
       << "no packet was ever caught on a failing link";
-  shard_diff(spec, "mesh with failures");
+  shard_diff(ref, spec, "mesh with failures");
 }
 
 TEST(ShardDiff, ChaosFaultPlaneByteIdenticalAcrossShardCounts) {
@@ -413,14 +270,15 @@ TEST(ShardDiff, ChaosFaultPlaneByteIdenticalAcrossShardCounts) {
   spec.run_seconds = 20.0;  // enough for every fault family at test speed
   spec.seed = 40;  // 3 crashes, 12 brownouts, 6 loss episodes in 20 s
 
-  const ShardRun ref = run_sharded(spec, 1);
-  EXPECT_GT(ref.nodes_crashed, 0u) << "no switch ever crashed";
-  EXPECT_GT(ref.brownouts, 0u) << "no brown-out ever started";
-  EXPECT_GT(ref.loss_episodes, 0u) << "no loss episode ever started";
-  EXPECT_GT(ref.node_failure_drops + ref.fault_drops, 0u)
+  const TracedRun ref = run_sharded(spec, 1);
+  const scenario::ScenarioReport& r = ref.report;
+  EXPECT_GT(r.nodes_crashed, 0u) << "no switch ever crashed";
+  EXPECT_GT(r.brownouts, 0u) << "no brown-out ever started";
+  EXPECT_GT(r.loss_episodes, 0u) << "no loss episode ever started";
+  EXPECT_GT(r.node_failure_drops + r.fault_drops, 0u)
       << "faults never destroyed a packet";
-  EXPECT_EQ(ref.invariant_violations, 0u) << "the monitor flagged the run";
-  shard_diff(spec, "chaos fault plane");
+  EXPECT_EQ(r.invariant_violations, 0u) << "the monitor flagged the run";
+  shard_diff(ref, spec, "chaos fault plane");
 }
 
 TEST(ShardDiff, CcMixWithBinaryFeedbackByteIdenticalAcrossShardCounts) {
@@ -441,11 +299,11 @@ TEST(ShardDiff, CcMixWithBinaryFeedbackByteIdenticalAcrossShardCounts) {
   spec.binary_feedback = true;
   spec.seed = 41;
 
-  const ShardRun ref = run_sharded(spec, 1);
-  EXPECT_GT(ref.cc_flows, 2u) << "mix never attached all three stacks";
-  EXPECT_GT(ref.cc_marks, 0u) << "the lot never marked a datagram";
-  EXPECT_GT(ref.cc_echoes, 0u) << "no mark was ever echoed";
-  shard_diff(spec, "cc mix with binary feedback");
+  const TracedRun ref = run_sharded(spec, 1);
+  EXPECT_GT(ref.report.cc_flows, 2u) << "mix never attached all three stacks";
+  EXPECT_GT(ref.report.cc_marks, 0u) << "the lot never marked a datagram";
+  EXPECT_GT(ref.report.cc_echoes, 0u) << "no mark was ever echoed";
+  shard_diff(ref, spec, "cc mix with binary feedback");
 }
 
 TEST(ShardDiff, ClassicAndShardedAreDistinctReferences) {
