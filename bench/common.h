@@ -2,15 +2,9 @@
 
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "sim/units.h"
 
@@ -26,16 +20,6 @@ inline sim::Duration run_seconds() {
   return sim::paper::kRunSeconds;
 }
 
-/// Wall-clock budget of one microbenchmark measurement; override with
-/// ISPN_BENCH_MICRO_SECONDS (e.g. 0.05 for a smoke run).
-inline double micro_seconds() {
-  if (const char* env = std::getenv("ISPN_BENCH_MICRO_SECONDS")) {
-    const double v = std::atof(env);
-    if (v > 0) return v;
-  }
-  return 0.3;
-}
-
 inline void header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
@@ -43,153 +27,5 @@ inline void header(const std::string& title) {
 inline void rule() {
   std::printf("%s\n", std::string(78, '-').c_str());
 }
-
-// ---------------------------------------------------------------------------
-// Microbenchmark timing loop.
-//
-// Runs `body()` (one steady-state work item, e.g. an enqueue+dequeue cycle)
-// repeatedly for ~micro_seconds() of wall time after a short warmup, and
-// returns the measured items/second.  The clock is sampled every `kBatch`
-// iterations so the chrono call does not dominate short bodies.
-
-struct MicroResult {
-  std::uint64_t items = 0;
-  double wall_s = 0;
-  [[nodiscard]] double items_per_sec() const {
-    return wall_s > 0 ? static_cast<double>(items) / wall_s : 0.0;
-  }
-};
-
-template <typename Body>
-MicroResult time_loop(Body&& body) {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::uint64_t kBatch = 4096;
-  constexpr std::uint64_t kWarmup = 20000;
-  for (std::uint64_t i = 0; i < kWarmup; ++i) body();
-  const double budget = micro_seconds();
-  const auto start = Clock::now();
-  std::uint64_t items = 0;
-  double elapsed = 0;
-  do {
-    for (std::uint64_t i = 0; i < kBatch; ++i) body();
-    items += kBatch;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < budget);
-  return MicroResult{items, elapsed};
-}
-
-// ---------------------------------------------------------------------------
-// JSON trajectory reporter.
-//
-// Each bench appends one "run" object to BENCH_<name>.json so the file
-// accumulates a before/after perf trajectory across commits:
-//
-//   {
-//     "bench": "sched_micro",
-//     "runs": [
-//       { "label": "seed-baseline", "utc": "...", "results": [
-//           { "name": "fifo", "params": "flows=1",
-//             "items": 1000000, "wall_s": 0.31, "items_per_sec": 3.2e6 } ] }
-//     ]
-//   }
-//
-// The label comes from ISPN_BENCH_LABEL (default "run"); the output
-// directory from ISPN_BENCH_JSON_DIR (default cwd).
-
-class JsonReporter {
- public:
-  explicit JsonReporter(std::string bench_name)
-      : bench_(std::move(bench_name)) {}
-
-  void add(const std::string& name, const std::string& params,
-           const MicroResult& r) {
-    Row row{name, params, r};
-    rows_.push_back(row);
-    std::printf("  %-28s %-14s %12.0f items/s  (%llu items, %.3f s)\n",
-                name.c_str(), params.c_str(), r.items_per_sec(),
-                static_cast<unsigned long long>(r.items), r.wall_s);
-  }
-
-  /// Appends this run to BENCH_<bench>.json and returns the path written.
-  /// The file is replaced atomically (temp + rename); an existing file the
-  /// splicer does not recognise is preserved as <path>.bak rather than
-  /// silently discarded, so a hand-edited trajectory is never lost.
-  std::string write() const {
-    const std::string path = json_dir() + "/BENCH_" + bench_ + ".json";
-    const std::string run = run_json();
-    const std::string existing = slurp(path);
-    const std::string tail = "\n  ]\n}\n";
-    const auto cut = existing.rfind(tail);
-    const bool splice = cut != std::string::npos &&
-                        existing.find("\"runs\": [") != std::string::npos;
-    if (!existing.empty() && !splice) {
-      std::ofstream bak(path + ".bak", std::ios::trunc);
-      bak << existing;
-      std::fprintf(stderr,
-                   "warning: %s not in trajectory format; preserved as "
-                   "%s.bak\n",
-                   path.c_str(), path.c_str());
-    }
-    const std::string tmp = path + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (splice) {
-        out << existing.substr(0, cut) << ",\n" << run << tail;
-      } else {
-        out << "{\n  \"bench\": \"" << bench_ << "\",\n  \"runs\": [\n"
-            << run << tail;
-      }
-    }
-    std::rename(tmp.c_str(), path.c_str());
-    return path;
-  }
-
- private:
-  struct Row {
-    std::string name;
-    std::string params;
-    MicroResult r;
-  };
-
-  static std::string json_dir() {
-    if (const char* env = std::getenv("ISPN_BENCH_JSON_DIR")) return env;
-    return ".";
-  }
-
-  static std::string slurp(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) return {};
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-
-  [[nodiscard]] std::string run_json() const {
-    const char* label_env = std::getenv("ISPN_BENCH_LABEL");
-    const std::string label = label_env != nullptr ? label_env : "run";
-    char utc[32] = "unknown";
-    const std::time_t t = std::time(nullptr);
-    std::tm tm_utc{};
-    if (gmtime_r(&t, &tm_utc) != nullptr) {
-      std::strftime(utc, sizeof utc, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    }
-    std::ostringstream ss;
-    ss << "    {\n      \"label\": \"" << label << "\",\n      \"utc\": \""
-       << utc << "\",\n      \"results\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      ss << "        { \"name\": \"" << row.name << "\", \"params\": \""
-         << row.params << "\", \"items\": " << row.r.items
-         << ", \"wall_s\": " << row.r.wall_s
-         << ", \"items_per_sec\": " << row.r.items_per_sec() << " }"
-         << (i + 1 < rows_.size() ? ",\n" : "\n");
-    }
-    ss << "      ]\n    }";
-    return ss.str();
-  }
-
-  std::string bench_;
-  std::vector<Row> rows_;
-};
 
 }  // namespace ispn::bench

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Local pre-push gate / CI entry point: configure + build + ctest + a short
-# bench smoke + the bench_ispn smoke.  Usage: scripts/check.sh [build-dir]
+# Local pre-push gate / CI entry point: configure + build + ctest + a
+# scenario smoke + one short run of every paper bench and example + the
+# bench_ispn smoke.  Usage: scripts/check.sh [build-dir]
 #
-# The bench smoke runs the two engine microbenches with a tiny wall-time
-# budget (and the table-1 bench with a 2-second simulated run) purely to
-# catch crashes and gross regressions; trajectory-quality numbers should be
-# recorded with the default budgets from the repo root instead:
-#   ISPN_BENCH_LABEL=<label> ISPN_BENCH_JSON_DIR=. build/bench_sched_micro
+# The bench and example runs only catch crashes and non-zero exits; the
+# performance numbers of record come from bench_ispn (BENCHMARK.json).
 
 set -euo pipefail
 
@@ -67,20 +65,16 @@ done
 "$BUILD_DIR/scenario_run" --chaos run_seconds=10 >/dev/null
 "$BUILD_DIR/scenario_run" --chaos run_seconds=10 --shards 2 >/dev/null
 
-echo "== bench smoke =="
-# Keep the smoke outputs out of the repo root so the committed perf
-# trajectory files only record deliberate runs.
-export ISPN_BENCH_JSON_DIR="$BUILD_DIR"
-export ISPN_BENCH_LABEL="smoke"
-ISPN_BENCH_MICRO_SECONDS=0.02 "$BUILD_DIR/bench_event_core" >/dev/null
-ISPN_BENCH_MICRO_SECONDS=0.02 "$BUILD_DIR/bench_sched_micro" >/dev/null
-ISPN_BENCH_MICRO_SECONDS=0.02 "$BUILD_DIR/bench_e2e" >/dev/null
-# Cap the flow-scale sweep for the smoke: the million-flow rows need real
-# warm time to mean anything.  Record them deliberately from the repo root:
-#   ISPN_BENCH_LABEL=flow-scale ISPN_BENCH_JSON_DIR=. build/bench_scenario
-ISPN_BENCH_MICRO_SECONDS=0.02 ISPN_BENCH_MAX_FLOWS=16384 \
-  "$BUILD_DIR/bench_scenario" >/dev/null
-ISPN_BENCH_SECONDS=2 "$BUILD_DIR/bench_table1" >/dev/null
+echo "== bench + example smoke =="
+# Every paper-reproduction bench with a 2-second simulated run, then every
+# example, once each.  Loop over the sources, not the build directory: a
+# reused build directory keeps binaries of programs that no longer exist.
+for src in bench/bench_*.cc; do
+  ISPN_BENCH_SECONDS=2 "$BUILD_DIR/$(basename "$src" .cc)" >/dev/null
+done
+for src in examples/*.cpp; do
+  "$BUILD_DIR/example_$(basename "$src" .cpp)" >/dev/null
+done
 
 echo "== bench_ispn smoke =="
 # The repeatable benchmark's own smoke: every workload at 1/20 of its

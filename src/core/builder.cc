@@ -375,7 +375,7 @@ traffic::OnOffSource& IspnNetwork::attach_onoff_source(
           ? 0
           : static_cast<std::uint8_t>(handle.commitment.priority_per_hop[0]);
   source->set_service(spec.service, priority);
-  if (net_.sharded()) source->set_pool(&net_.pool_for(spec.src));
+  source->set_pool(&net_.pool_for(spec.src));
   auto& ref = *source;
   sources_.push_back(std::move(source));
   return ref;
@@ -390,10 +390,8 @@ std::pair<traffic::TcpSource&, traffic::TcpSink&> IspnNetwork::attach_tcp(
   // Each endpoint lives on its own host's clock: in a sharded run that is
   // the owning domain's simulator and packet pool, classically the global
   // ones.
-  sim::Simulator& src_sim =
-      net_.sharded() ? net_.sim_for(spec.src) : net_.sim();
-  sim::Simulator& dst_sim =
-      net_.sharded() ? net_.sim_for(spec.dst) : net_.sim();
+  sim::Simulator& src_sim = net_.sim_for(spec.src);
+  sim::Simulator& dst_sim = net_.sim_for(spec.dst);
 
   auto source = std::make_unique<traffic::TcpSource>(
       src_sim, config, spec.flow, spec.src, spec.dst,
@@ -403,10 +401,8 @@ std::pair<traffic::TcpSource&, traffic::TcpSink&> IspnNetwork::attach_tcp(
       dst_sim, config, spec.flow, spec.dst, spec.src,
       [&dst_host](net::PacketPtr p) { dst_host.inject(std::move(p)); });
   sink->set_stats(&net_.stats(spec.flow));
-  if (net_.sharded()) {
-    source->set_pool(&net_.pool_for(spec.src));
-    sink->set_pool(&net_.pool_for(spec.dst));
-  }
+  source->set_pool(&net_.pool_for(spec.src));
+  sink->set_pool(&net_.pool_for(spec.dst));
 
   // ACKs arrive back at the source host; data arrives at the destination
   // behind the stats recorder.

@@ -106,8 +106,13 @@ Switch& Network::switch_node(NodeId id) {
   return static_cast<Switch&>(*nodes_.at(id));
 }
 
-void Network::connect_impl(NodeId a, NodeId b, sim::Rate rate,
-                           const LinkSchedulerFactory& make_scheduler) {
+void Network::connect(NodeId a, NodeId b, sim::Rate rate,
+                      const SchedulerFactory& make_scheduler) {
+  connect(a, b, rate, rate_aware(make_scheduler));
+}
+
+void Network::connect(NodeId a, NodeId b, sim::Rate rate,
+                      const LinkSchedulerFactory& make_scheduler) {
   assert(a != b);
 
   const bool switch_link = !is_host_.at(a) && !is_host_.at(b);
@@ -138,7 +143,7 @@ void Network::connect_impl(NodeId a, NodeId b, sim::Rate rate,
       assert(scheduler != nullptr);
     }
     Node* to_node = nodes_.at(to).get();
-    auto port = std::make_unique<Port>(sharded_ ? sim_for(from) : sim_, rate,
+    auto port = std::make_unique<Port>(sim_for(from), rate,
                                        std::move(scheduler), to_node);
     port->add_drop_hook(
         [this](const Packet& p, sim::Time) { ++hot_stats(p.flow).net_drops; });
@@ -186,21 +191,6 @@ void Network::connect_impl(NodeId a, NodeId b, sim::Rate rate,
   adjacency_[b].push_back(a);
   link_rate_[{a, b}] = rate;
   link_rate_[{b, a}] = rate;
-}
-
-void Network::connect(NodeId a, NodeId b, sim::Rate rate,
-                      const SchedulerFactory& make_scheduler) {
-  connect_impl(a, b, rate, rate_aware(make_scheduler));
-}
-
-void Network::connect(NodeId a, NodeId b, sim::Rate rate,
-                      const DirectionalSchedulerFactory& make_scheduler) {
-  connect_impl(a, b, rate, rate_aware(make_scheduler));
-}
-
-void Network::connect(NodeId a, NodeId b, sim::Rate rate,
-                      const LinkSchedulerFactory& make_scheduler) {
-  connect_impl(a, b, rate, make_scheduler);
 }
 
 void Network::build_routes() {

@@ -24,33 +24,21 @@ namespace ispn::net {
 /// Creates the queueing discipline for one link direction.
 using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>()>;
 
-/// Directional variant: receives (from, to) so callers can key per-link
-/// state (measurement, admission) by direction.
-using DirectionalSchedulerFactory =
-    std::function<std::unique_ptr<sched::Scheduler>(NodeId from, NodeId to)>;
-
-/// Rate-aware variant: additionally receives the link rate, so fabrics
-/// with per-hop rates (parking lots, aggregation trees) can size each
-/// scheduler, measurement window and admission registration to the link
-/// it actually serves.
+/// Link-aware variant: receives the direction (from, to), so callers can
+/// key per-link state (measurement, admission) by direction, and the link
+/// rate, so fabrics with per-hop rates (parking lots, aggregation trees)
+/// can size each scheduler, measurement window and admission registration
+/// to the link it actually serves.
 using LinkSchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>(
     NodeId from, NodeId to, sim::Rate rate)>;
 
-/// Adapts the simpler factory shapes to the rate-aware one (an empty
-/// factory stays empty, so infinitely fast links still need none).  The
-/// single adaptation point for Network::connect and the topology
-/// builders.
+/// Adapts the plain factory to the link-aware one (an empty factory stays
+/// empty, so infinitely fast links still need none).  The single
+/// adaptation point for Network::connect and the topology builders.
 [[nodiscard]] inline LinkSchedulerFactory rate_aware(SchedulerFactory make) {
   if (!make) return {};
   return [make = std::move(make)](NodeId, NodeId, sim::Rate) {
     return make();
-  };
-}
-[[nodiscard]] inline LinkSchedulerFactory rate_aware(
-    DirectionalSchedulerFactory make) {
-  if (!make) return {};
-  return [make = std::move(make)](NodeId from, NodeId to, sim::Rate) {
-    return make(from, to);
   };
 }
 
@@ -117,10 +105,6 @@ class Network {
   /// endpoints gain a port.  Hosts may have only one link.
   void connect(NodeId a, NodeId b, sim::Rate rate,
                const SchedulerFactory& make_scheduler = {});
-
-  /// As above, with a direction-aware factory.
-  void connect(NodeId a, NodeId b, sim::Rate rate,
-               const DirectionalSchedulerFactory& make_scheduler);
 
   /// As above, with a direction- and rate-aware factory.
   void connect(NodeId a, NodeId b, sim::Rate rate,
@@ -230,9 +214,6 @@ class Network {
 
  private:
   class RecordingSink;
-
-  void connect_impl(NodeId a, NodeId b, sim::Rate rate,
-                    const LinkSchedulerFactory& make_scheduler);
 
   /// Drives both ports of a<->b to their effective state (link state AND
   /// endpoint node state combined), flushing on a transition to down.

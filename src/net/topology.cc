@@ -50,13 +50,6 @@ ChainTopology build_chain(Network& net, int num_switches,
                      rate_aware(make_scheduler));
 }
 
-ChainTopology build_chain(Network& net, int num_switches,
-                          sim::Rate inter_switch_rate,
-                          const DirectionalSchedulerFactory& make_scheduler) {
-  return build_chain(net, num_switches, inter_switch_rate,
-                     rate_aware(make_scheduler));
-}
-
 std::string chain_ascii(const ChainTopology& topo) {
   std::ostringstream out;
   for (std::size_t i = 0; i < topo.hosts.size(); ++i) {
@@ -75,7 +68,7 @@ std::string chain_ascii(const ChainTopology& topo) {
 }
 
 DumbbellTopology build_dumbbell(Network& net, sim::Rate bottleneck_rate,
-                                const DirectionalSchedulerFactory& make_scheduler) {
+                                const LinkSchedulerFactory& make_scheduler) {
   DumbbellTopology topo{};
   auto& s1 = net.add_switch("S-left");
   auto& s2 = net.add_switch("S-right");
@@ -94,11 +87,7 @@ DumbbellTopology build_dumbbell(Network& net, sim::Rate bottleneck_rate,
 
 DumbbellTopology build_dumbbell(Network& net, sim::Rate bottleneck_rate,
                                 const SchedulerFactory& make_scheduler) {
-  DirectionalSchedulerFactory directional;
-  if (make_scheduler) {
-    directional = [make_scheduler](NodeId, NodeId) { return make_scheduler(); };
-  }
-  return build_dumbbell(net, bottleneck_rate, directional);
+  return build_dumbbell(net, bottleneck_rate, rate_aware(make_scheduler));
 }
 
 FanInTopology build_fan_in(Network& net, int num_sources, sim::Rate feed_rate,
@@ -139,14 +128,6 @@ FanInTopology build_fan_in(Network& net,
                            const std::vector<sim::Rate>& feed_rates,
                            sim::Rate bottleneck_rate,
                            const SchedulerFactory& make_scheduler) {
-  return build_fan_in(net, feed_rates, bottleneck_rate,
-                      rate_aware(make_scheduler));
-}
-
-FanInTopology build_fan_in(Network& net,
-                           const std::vector<sim::Rate>& feed_rates,
-                           sim::Rate bottleneck_rate,
-                           const DirectionalSchedulerFactory& make_scheduler) {
   return build_fan_in(net, feed_rates, bottleneck_rate,
                       rate_aware(make_scheduler));
 }

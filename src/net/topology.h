@@ -7,10 +7,11 @@
 // Hosts attach by infinitely fast links; queueing happens only at the
 // inter-switch links, each carrying 10 flows in the paper's Tables 2/3.
 //
-// Every builder has two flavours: one taking the plain SchedulerFactory
-// and one taking the DirectionalSchedulerFactory, for callers that key
-// per-link state (measurement, admission) by direction — the scenario
-// fabric generator composes the directional ones.
+// Every builder takes a LinkSchedulerFactory, which sees each direction's
+// endpoints and rate so callers can key per-link state (measurement,
+// admission) by direction — the scenario fabric generator composes these.
+// The chain, dumbbell and fan-in builders also take a plain
+// SchedulerFactory, adapted through rate_aware().
 
 #pragma once
 
@@ -35,9 +36,6 @@ ChainTopology build_chain(Network& net, int num_switches,
                           const SchedulerFactory& make_scheduler);
 ChainTopology build_chain(Network& net, int num_switches,
                           sim::Rate inter_switch_rate,
-                          const DirectionalSchedulerFactory& make_scheduler);
-ChainTopology build_chain(Network& net, int num_switches,
-                          sim::Rate inter_switch_rate,
                           const LinkSchedulerFactory& make_scheduler);
 
 /// Renders the chain as ASCII art (used by bench_table2 to echo Figure 1).
@@ -54,7 +52,7 @@ struct DumbbellTopology {
 DumbbellTopology build_dumbbell(Network& net, sim::Rate bottleneck_rate,
                                 const SchedulerFactory& make_scheduler);
 DumbbellTopology build_dumbbell(Network& net, sim::Rate bottleneck_rate,
-                                const DirectionalSchedulerFactory& make_scheduler);
+                                const LinkSchedulerFactory& make_scheduler);
 
 /// Fan-in: several edge switches feed one merge switch whose single
 /// output port is the bottleneck — the first scenario beyond the paper's
@@ -85,10 +83,6 @@ FanInTopology build_fan_in(Network& net,
                            const std::vector<sim::Rate>& feed_rates,
                            sim::Rate bottleneck_rate,
                            const SchedulerFactory& make_scheduler);
-FanInTopology build_fan_in(Network& net,
-                           const std::vector<sim::Rate>& feed_rates,
-                           sim::Rate bottleneck_rate,
-                           const DirectionalSchedulerFactory& make_scheduler);
 FanInTopology build_fan_in(Network& net,
                            const std::vector<sim::Rate>& feed_rates,
                            sim::Rate bottleneck_rate,

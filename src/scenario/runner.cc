@@ -687,11 +687,11 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     p->sink_slot = sink_slot;
     host.inject(std::move(p));
   };
-  // Sharded: the source lives on its host's domain clock and draws from
-  // that domain's pool.  Creating the stats entry HERE (control time)
-  // matters — the packet path only does find-only lookups (hot_stats).
-  sim::Simulator& clock =
-      net().sharded() ? net().sim_for(fs.src) : net().sim();
+  // The source lives on its host's clock and draws from its host's pool
+  // (the domain's when sharded).  Creating the stats entry HERE (control
+  // time) matters — the packet path only does find-only lookups
+  // (hot_stats).
+  sim::Simulator& clock = net().sim_for(fs.src);
   net::FlowStats* stats = &net().stats(fs.flow);
   const sim::Rng rng(spec_.seed,
                      kSourceStreamBase + static_cast<std::uint64_t>(fs.flow));
@@ -750,8 +750,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
 
     // Receiver on the destination's clock; its ACKs carry the ack sink's
     // slot label and are ledgered as reverse-direction traffic.
-    sim::Simulator& dst_clock =
-        net().sharded() ? net().sim_for(fs.dst) : net().sim();
+    sim::Simulator& dst_clock = net().sim_for(fs.dst);
     net::Host& dst_host = net().host(fs.dst);
     const std::uint32_t ack_slot = rec.ack_slot;
     auto ack_emit = [&dst_host, ack_slot](net::PacketPtr p) {
@@ -761,7 +760,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
     rec.tcp_sink = std::make_unique<traffic::TcpSink>(
         dst_clock, tcfg, fs.flow, fs.dst, fs.src, ack_emit);
     rec.tcp_sink->set_stats(stats);
-    if (net().sharded()) rec.tcp_sink->set_pool(&net().pool_for(fs.dst));
+    rec.tcp_sink->set_pool(&net().pool_for(fs.dst));
     rec.sink->set_next(rec.tcp_sink.get());
   } else {
     switch (spec_.source) {
@@ -794,7 +793,7 @@ void ScenarioRunner::attach_source(FlowRec& rec, sim::Duration start_offset,
   }
 
   rec.source->set_service(fs.service, first_hop_priority(rec.handle));
-  if (net().sharded()) rec.source->set_pool(&net().pool_for(fs.src));
+  rec.source->set_pool(&net().pool_for(fs.src));
   // Control time is a window barrier, so `now + offset` is never in a
   // window a domain has already executed.
   rec.source->start(net().sim().now() + start_offset);

@@ -18,7 +18,7 @@
 //
 // Driving modes:
 //   * run()            — the whole scenario: prepare + drain + report.
-//   * prepare() + advance(...) + finish() — incremental (bench_scenario
+//   * prepare() + advance(...) + finish() — incremental (bench_ispn
 //     slices wall-clock time this way; advance() is engine-aware).
 //
 // Sharded execution (spec.shards >= 1): the runner builds the network in

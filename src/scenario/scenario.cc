@@ -206,6 +206,7 @@ void ScenarioSpec::validate() const {
   check(peak_factor >= 1, "peak_factor (need >= 1)");
   check(packet_bits > 0, "packet_bits (need > 0)");
   check(target_delay > 0, "target_delay (need > 0)");
+  check(target_loss >= 0 && target_loss <= 1, "target_loss (need [0,1])");
   check(run_seconds > 0, "run_seconds (need > 0)");
   check(drain_grace > 0, "drain_grace (need > 0)");
   check(datagram_quota > 0 && datagram_quota < 1,

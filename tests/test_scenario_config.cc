@@ -129,6 +129,8 @@ TEST(ScenarioConfig, OutOfRangeValuesFailValidate) {
   reject("run_seconds", "0");
   reject("mesh_rows", "0");
   reject("p_guaranteed", "0.7");  // chaos has p_predicted=0.4: mix > 1
+  reject("target_loss", "-0.5");
+  reject("target_loss", "1.5");
 }
 
 TEST(ScenarioConfig, ContradictoryCombinationsAreRejected) {
@@ -219,12 +221,15 @@ const char* const kAllKeys[] = {
     "mean_hold",      "p_guaranteed",   "p_predicted",
     "long_flow_fraction", "source",     "avg_rate_pps",
     "peak_factor",    "packet_bits",    "target_delay",
-    "target_loss",    "preempt_on_reject", "run_seconds",
-    "drain_grace",    "seed",           "admission_mode",
-    "datagram_quota", "measurement_window", "measurement_safety",
-    "measurement_estimator", "measurement_ewma_gain", "shards",
-    "link_latency",   "event_backend",  "hierarchical",
-    "no_such_knob",   "",               "FABRIC",
+    "target_loss",    "cc",             "binary_feedback",
+    "mark_threshold", "cc_max_cwnd",    "preempt_on_reject",
+    "run_seconds",    "drain_grace",    "seed",
+    "admission_mode", "datagram_quota", "measurement_window",
+    "measurement_safety", "measurement_estimator", "measurement_ewma_gain",
+    "shards",         "link_latency",   "hierarchical",
+    "order_backend",
+    // Removed or unknown keys must be refused, never crash.
+    "event_backend",  "no_such_knob",   "",               "FABRIC",
 };
 
 const char* const kAdversarialValues[] = {
