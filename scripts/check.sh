@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local pre-push gate / CI entry point: configure + build + ctest + a
-# scenario smoke + one short run of every paper bench and example + the
-# bench_ispn smoke.  Usage: scripts/check.sh [build-dir]
+# scenario smoke + a malformed-input gate on the scenario CLI + one short
+# run of every paper bench and example + the bench_ispn smoke.
+# Usage: scripts/check.sh [build-dir]
 #
 # The bench and example runs only catch crashes and non-zero exits; the
 # performance numbers of record come from bench_ispn (BENCHMARK.json).
@@ -64,6 +65,30 @@ done
 # an incoherent scheduler fails the gate — classic and sharded cores both.
 "$BUILD_DIR/scenario_run" --chaos run_seconds=10 >/dev/null
 "$BUILD_DIR/scenario_run" --chaos run_seconds=10 --shards 2 >/dev/null
+
+echo "== malformed input =="
+# The config fuzz in test_scenario_config stops at validate(); this runs
+# the CLI itself.  Each case (first word: what the diagnostic must name)
+# must exit exactly 2 with that diagnostic: never 0, never a crash (134)
+# after validation.  The address-space cap turns a fabric that validation
+# lets through into a quick bad_alloc instead of a host-sized allocation.
+# $args is split into words on purpose.
+while read -r needle args; do
+  rc=0
+  err=$(ulimit -v 4000000; "$BUILD_DIR/scenario_run" $args 2>&1 >/dev/null) ||
+    rc=$?
+  if [ "$rc" -ne 2 ] || [[ "$err" != *"$needle"* ]]; then
+    echo "scenario_run $args: exit $rc, want 2 naming '$needle': $err" >&2
+    exit 1
+  fi
+done <<'CASES'
+chain_switches --preset chain --scale smoke chain_switches=2000000000
+tree_depth --preset fan_in --scale smoke tree_depth=20
+mesh_rows --preset failure --scale smoke mesh_rows=65536 mesh_cols=65536
+order_backend --preset fan_in --scale smoke order_backend=heap
+event_backend --preset fan_in --scale smoke event_backend=wheel
+/nonexistent/dir/report.json --preset fan_in --scale smoke --json /nonexistent/dir/report.json
+CASES
 
 echo "== bench + example smoke =="
 # Every paper-reproduction bench with a 2-second simulated run, then every

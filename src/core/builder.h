@@ -64,10 +64,9 @@ class IspnNetwork {
         LinkMeasurement::Estimator::kPeakEpoch;
     double measurement_ewma_gain = 0.25;
     std::uint64_t seed = 1;
-    /// Virtual-time ordering structure: a pure performance choice — every
-    /// backend yields byte-identical schedules (test_order_backend_diff
-    /// and the scenario golden-trace suite).
-    sched::OrderBackend order_backend = sched::OrderBackend::kAuto;
+    /// Unread; see sched::OrderBackend.  Delete at the next benchmark
+    /// change.
+    sched::OrderBackend order_backend = sched::OrderBackend::kHeap;
     /// Two-level aggregate scheduling on every link (see
     /// sched::UnifiedScheduler::Config::hierarchical): per-link state
     /// bounded by {guaranteed flows, K classes, datagram} instead of

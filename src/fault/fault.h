@@ -22,8 +22,8 @@
 //
 // The whole schedule is drawn up front (at ScenarioRunner::prepare()) and
 // every event is grid-quantized through the runner's ctl() before it is
-// registered with the simulator, so shard counts {0,1,2,4} and both event
-// backends replay it byte-identically.
+// registered with the simulator, so shard counts {0,1,2,4} replay it
+// byte-identically.
 
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <sstream>
 
 namespace ispn::net {
@@ -190,7 +191,8 @@ ParkingLotTopology build_parking_lot(Network& net,
 MeshTopology build_mesh(Network& net, int rows, int cols, sim::Rate link_rate,
                         const LinkSchedulerFactory& make_scheduler) {
   assert(rows >= 1 && cols >= 1);
-  assert(rows * cols >= 2 && "a mesh needs at least two switches");
+  assert(std::int64_t{rows} * cols >= 2 &&
+         "a mesh needs at least two switches");
   MeshTopology topo;
   topo.rows = rows;
   topo.cols = cols;

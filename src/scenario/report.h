@@ -166,7 +166,7 @@ struct ScenarioReport {
   // Direct-mapped lookup caches (DEC-TR-592) on the per-packet hot paths,
   // summed across all nodes: switch dst -> port and host flow -> sink.
   // Deterministic (probe sequence == packet sequence), so the determinism
-  // suites compare them across backends and shard counts.
+  // suites compare them across shard counts and sliced runs.
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
   std::uint64_t sink_cache_hits = 0;

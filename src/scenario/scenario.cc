@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,6 +29,19 @@ double parse_double(const std::string& key, const std::string& v) {
   // `d < lo` and `d > hi` are false) — reject them at the gate.
   if (!std::isfinite(out)) fail(key, "non-finite number for");
   return out;
+}
+
+/// Switches in a fan-in tree, Σ width^d for d < depth, summed only until
+/// it passes `cap`, so no term overflows.  Needs depth >= 1, width >= 1.
+std::int64_t tree_switches(int depth, int width, std::int64_t cap) {
+  std::int64_t total = 0;
+  std::int64_t level = 1;
+  for (int d = 0; d < depth; ++d) {
+    total += level;
+    if (total > cap) break;
+    level *= width;
+  }
+  return total;
 }
 
 int parse_int(const std::string& key, const std::string& v) {
@@ -140,15 +154,32 @@ void ScenarioSpec::validate() const {
                                   " out of range");
     }
   };
+  // Switch counts in 64 bits: a product of two ints can overflow.
+  const auto check_size = [](std::int64_t switches, const char* fields) {
+    if (switches > kMaxSwitches) {
+      throw std::invalid_argument(
+          std::string("scenario config: ") + fields + " (need <= " +
+          std::to_string(kMaxSwitches) + " switches) out of range");
+    }
+  };
   check(chain_switches >= 2, "chain_switches (need >= 2)");
+  check_size(chain_switches, "chain_switches");
   check(tree_depth >= 2, "tree_depth (need >= 2)");
   check(tree_width >= 1, "tree_width (need >= 1)");
+  check_size(tree_switches(tree_depth, tree_width, kMaxSwitches),
+             "tree_depth/tree_width");
   check(parking_hops >= 1, "parking_hops (need >= 1)");
-  check(mesh_rows >= 1 && mesh_cols >= 1 && mesh_rows * mesh_cols >= 2,
+  check_size(std::int64_t{parking_hops} + 1, "parking_hops");
+  const std::int64_t mesh_switches = std::int64_t{mesh_rows} * mesh_cols;
+  check(mesh_rows >= 1 && mesh_cols >= 1 && mesh_switches >= 2,
         "mesh_rows/mesh_cols (need a >= 2 switch grid)");
+  check_size(mesh_switches, "mesh_rows/mesh_cols");
   check(ring_switches >= 3, "ring_switches (need >= 3)");
+  check_size(ring_switches, "ring_switches");
   check(clos_spines >= 1, "clos_spines (need >= 1)");
   check(clos_leaves >= 2, "clos_leaves (need >= 2)");
+  check_size(std::int64_t{clos_spines} + clos_leaves,
+             "clos_spines/clos_leaves");
   check(link_failure_rate >= 0, "link_failure_rate (need >= 0)");
   check(link_repair_mean >= 0, "link_repair_mean (need >= 0)");
   check(flap_prob >= 0 && flap_prob <= 1, "flap_prob (need [0,1])");
@@ -234,7 +265,6 @@ core::IspnNetwork::Config ScenarioSpec::network_config() const {
   cfg.measurement_estimator = measurement_estimator;
   cfg.measurement_ewma_gain = measurement_ewma_gain;
   cfg.seed = seed;
-  cfg.order_backend = order_backend;
   cfg.sharded = shards >= 1;
   cfg.link_latency = link_latency;
   cfg.hierarchical = hierarchical;
@@ -570,12 +600,6 @@ void apply_override(ScenarioSpec& spec, const std::string& key,
     spec.link_latency = parse_double(key, value);
   } else if (key == "hierarchical") {
     spec.hierarchical = parse_bool(key, value);
-  } else if (key == "order_backend") {
-    if (value == "heap") spec.order_backend = sched::OrderBackend::kHeap;
-    else if (value == "calendar")
-      spec.order_backend = sched::OrderBackend::kCalendar;
-    else if (value == "auto") spec.order_backend = sched::OrderBackend::kAuto;
-    else fail(key, "unknown order backend for");
   } else {
     fail(key, "unknown key");
   }

@@ -3,8 +3,8 @@
 // A ScenarioSpec describes one complete experiment beyond the paper's
 // fixed Figure-1 runs: a fabric (scaled-up chain, fan-in/fan-out
 // aggregation tree, or multi-bottleneck parking lot with per-hop
-// entry/exit traffic), an engine configuration (order backend,
-// buffer sizes, link rates), an admission-control configuration
+// entry/exit traffic), an engine configuration (shards, hierarchical
+// scheduling, buffer sizes, link rates), an admission-control configuration
 // (measurement-based by default — the paper's design), and a workload of
 // flows that ARRIVE OVER SIMULATED TIME with FlowSpecs, get admitted or
 // refused by the live measurement feed, hold for a while and depart.
@@ -72,6 +72,14 @@ enum class ReroutePolicy {
 };
 
 struct ScenarioSpec {
+  /// Largest fabric validate() accepts, in switches, checked for every
+  /// fabric's parameters.  About 50x the largest fabric any test, preset or
+  /// benchmark builds (the 21-switch fan-in tree of depth 3, width 4); a
+  /// 1000-switch chain already takes 45 s and 116 MB for a 1 s smoke run
+  /// on a 4-vCPU host.  Past it, a typo such as tree_depth=20 would
+  /// exhaust memory while building the fabric instead of being refused.
+  static constexpr std::int64_t kMaxSwitches = 1024;
+
   // ---- fabric ----------------------------------------------------------
   FabricKind fabric = FabricKind::kChain;
   int chain_switches = 8;
@@ -187,7 +195,6 @@ struct ScenarioSpec {
   double measurement_ewma_gain = 0.25;
 
   // ---- engine ----------------------------------------------------------
-  sched::OrderBackend order_backend = sched::OrderBackend::kAuto;
   /// Two-level aggregate scheduling: per-link scheduler state bounded by
   /// {guaranteed flows, K classes, datagram} instead of per-flow — the
   /// million-flow regime.  Default off (classic flat, byte-identical).

@@ -9,18 +9,12 @@
 // Parekh–Gallager).  That advance loop used to be copy-pasted between
 // wfq.cc and unified.cc; it lives here exactly once.
 //
-// State per backlogged flow is one re-keyable entry in an indexed ordering
-// (keyed by the flow's largest finish tag) plus its weight in a dense
-// vector.  The ordering backend is selectable at construction
-// (util::OrderBackend): an indexed min-heap, or a calendar queue bucketed
-// over virtual time that makes the departure-epoch advance O(1) amortized
-// instead of full-depth re-keys — both produce the identical epoch order
-// (same keys, same id tie-break), so V(t) trajectories are bit-equal under
-// either backend (asserted by tests/test_order_backend_diff.cc).  The
-// slope and its reciprocal are recomputed only when the backlogged-weight
-// sum changes (slope_dirty_), so the steady-state advance performs no
-// division; stamp() takes the caller's cached 1/weight so tag math is
-// division-free too.
+// State per backlogged flow is one re-keyable entry in an indexed min-heap
+// (keyed by the flow's largest finish tag, ties by id) plus its weight in
+// a dense vector.  The slope and its reciprocal are recomputed only when
+// the backlogged-weight sum changes (slope_dirty_), so the steady-state
+// advance performs no division; stamp() takes the caller's cached
+// 1/weight so tag math is division-free too.
 //
 // Flow-0 policy.  The two historical copies diverged in how they treated
 // a flow whose weight changes *while it is fluid-backlogged*:
@@ -50,7 +44,7 @@
 #include <vector>
 
 #include "sim/units.h"
-#include "util/calendar_queue.h"
+#include "util/indexed_heap.h"
 
 namespace ispn::sched {
 
@@ -61,10 +55,9 @@ class FluidClock {
     kTracked,  ///< reweight() takes effect immediately (unified's flow 0)
   };
 
-  explicit FluidClock(
-      sim::Rate link_rate, Flow0Policy policy = Flow0Policy::kPinned,
-      util::OrderBackend backend = util::OrderBackend::kAuto)
-      : link_rate_(link_rate), policy_(policy), fluid_(backend) {
+  explicit FluidClock(sim::Rate link_rate,
+                      Flow0Policy policy = Flow0Policy::kPinned)
+      : link_rate_(link_rate), policy_(policy) {
     assert(link_rate_ > 0);
   }
 
@@ -111,13 +104,13 @@ class FluidClock {
         }
         slope_dirty_ = false;
       }
-      const double next_finish = fluid_.top_key();
+      const double next_finish = fluid_.top().key;
       const sim::Time reach = last_update_ + (next_finish - vtime_) * inv_slope_;
       if (reach <= now) {
         // A flow empties in the fluid system before `now`.
         vtime_ = next_finish;
         last_update_ = reach;
-        while (!fluid_.empty() && fluid_.top_key() <= vtime_) {
+        while (!fluid_.empty() && fluid_.top().key <= vtime_) {
           const std::uint32_t id = fluid_.pop().id;
           active_weight_ -= weights_[id];
           slope_dirty_ = true;
@@ -191,7 +184,7 @@ class FluidClock {
   double inv_slope_ = 0;     // active_weight_ / link_rate
   double slope_weight_ = 0;  // weight sum slope_/inv_slope_ were computed at
   bool slope_dirty_ = true;
-  util::OrderIndex<double, std::less<double>> fluid_;
+  util::IndexedDaryHeap<double, std::less<double>> fluid_;
   std::vector<double> weights_;  // weight each backlogged id contributed
 };
 

@@ -11,13 +11,16 @@
 #include <cstdint>
 
 #include "net/packet.h"
-#include "util/calendar_queue.h"
+#include "util/indexed_heap.h"
 
 namespace ispn::sched {
 
-/// Which virtual-time ordering structure a scheduler uses (heap vs
-/// calendar queue) — re-exported so configs can say sched::OrderBackend.
-using util::OrderBackend;
+/// The virtual-time ordering structure: the indexed heap is the only one.
+/// Kept solely because bench_ispn copies a field of this type between
+/// configs.  Delete the enum and its two fields (core::IspnNetwork::Config
+/// and UnifiedScheduler::Config) at the next benchmark change; nothing
+/// reads them.
+enum class OrderBackend { kHeap };
 
 /// Key of a flow's head packet in the packetized WFQ selection: smallest
 /// (finish tag, arrival order) transmits next.
@@ -33,15 +36,8 @@ struct HeadLess {
   }
 };
 
-/// Virtual-time projection of a HeadKey, for calendar-queue bucketing.
-/// HeadLess orders primarily by this projection (ties by arrival order),
-/// which is exactly the consistency the calendar requires.
-struct HeadProject {
-  double operator()(const HeadKey& k) const { return k.finish; }
-};
-
-/// The selectable head-of-flow ordering used by WFQ and unified.
-using HeadOrder = util::OrderIndex<HeadKey, HeadLess, HeadProject>;
+/// The head-of-flow ordering used by WFQ and unified.
+using HeadOrder = util::IndexedDaryHeap<HeadKey, HeadLess>;
 
 /// Heap entry for a packet parked in a PacketSlab: 24 trivially-copyable
 /// bytes ordered by (key, order), so sifts move raw words instead of

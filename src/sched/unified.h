@@ -38,7 +38,7 @@
 //
 // Ties at equal finish tags order flow 0 first, then guaranteed flows by
 // slot (first-registration order — itself deterministic, since flow
-// registration sequences are byte-identical across backends).
+// registration sequences are a function of the spec).
 //
 // Hierarchical mode (Config::hierarchical): the scheduler keeps NO
 // per-flow state for predicted or datagram traffic — packets carry their
@@ -88,9 +88,9 @@ class UnifiedScheduler final : public Scheduler {
     /// point it could have met, so its bandwidth is better spent on the
     /// packets behind it.  Infinity disables the feature (default).
     sim::Duration stale_offset_threshold = sim::kTimeInfinity;
-    /// Ordering structure for the fluid epochs and head finish tags; every
-    /// backend departs packets in the identical order.
-    OrderBackend order_backend = OrderBackend::kAuto;
+    /// Unread; see sched::OrderBackend.  Delete at the next benchmark
+    /// change.
+    OrderBackend order_backend = OrderBackend::kHeap;
     /// Two-level aggregate mode: no per-flow predicted state — packets are
     /// classified purely by their stamped (service, priority), and the
     /// scheduler's state is bounded by {guaranteed flows, K classes,

@@ -11,7 +11,8 @@
 //   - Deterministic: slot assignment is a pure function of the sequence
 //     of acquire()/release() calls (first-seen order + LIFO recycling),
 //     never of hash layout, so byte-identical call sequences — which the
-//     backend-differential suites already prove — yield identical slots.
+//     shard-count differential suites already prove — yield identical
+//     slots.
 //   - Allocation-free steady state: the open-addressing table only grows
 //     when the live key count crosses 3/4 load, and the freelist's
 //     capacity is reserved alongside it, so churn (acquire/release of a

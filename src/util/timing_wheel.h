@@ -23,7 +23,7 @@
 //     an occupied level-0 bucket — whose entries all precede every entry
 //     still bucketed later or higher — that one tick's entries are pulled
 //     into one vector, sorted by the caller's comparator, and consumed
-//     through a head index (the calendar queue's sorted-run idiom).  The
+//     through a head index, so popping is an index increment.  The
 //     run spans exactly one tick, so only same-instant schedules from
 //     inside a firing event land in the live run (placed by binary
 //     search); anything even one tick out is an O(1) bucket prepend.

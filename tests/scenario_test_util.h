@@ -1,5 +1,6 @@
 // Shared harness of the scenario determinism suites (golden, shard-diff,
-// cc-diff): one traced run and one comparison of two runs.
+// cc-diff): one traced run, one-shot or sliced, and one comparison of two
+// runs.
 //
 // expect_same_run is the suites' single compare set: the packet trace
 // record by record, the decision hash and end time, every counter in
@@ -28,15 +29,25 @@ struct TracedRun {
   int workers = 0;  ///< threads the sharded engine ran (0 when classic)
 };
 
-/// Runs `spec` with every port and delivery traced.
-inline TracedRun traced_run(scenario::ScenarioSpec spec) {
+/// Runs `spec` with every port and delivery traced.  `slices` = 1 runs it
+/// in one run() call; n > 1 drives it as bench_ispn does: prepare(), then
+/// advance() to run_seconds·k/n for k = 1..n, then finish().
+inline TracedRun traced_run(scenario::ScenarioSpec spec, int slices = 1) {
+  const double run_seconds = spec.run_seconds;
   scenario::ScenarioRunner runner(std::move(spec));
   net::PacketTracer tracer(1u << 22);
   runner.set_tracer(&tracer);
   runner.prepare();
   tracer.attach(runner.net());  // ports exist once the fabric is built
   TracedRun out;
-  out.report = runner.run();
+  if (slices <= 1) {
+    out.report = runner.run();
+  } else {
+    for (int k = 1; k <= slices; ++k) {
+      runner.advance(run_seconds * k / slices);
+    }
+    out.report = runner.finish();
+  }
   tracer.finalize();  // merge per-domain buffers (no-op on the classic path)
   EXPECT_FALSE(tracer.truncated());
   EXPECT_TRUE(out.report.conserved());

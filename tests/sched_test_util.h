@@ -62,35 +62,4 @@ inline net::PacketPtr datagram_pkt(net::FlowId flow, std::uint64_t seq,
   return p;
 }
 
-// --- differential-trace helpers (test_order_backend_diff.cc) -------------
-//
-// A scheduler run is summarised as the exact sequence of packets it emits
-// (departures, pushout victims, dequeue-time discards) plus the V(t)
-// trajectory sampled after every operation.  Two ordering backends are
-// considered equivalent only when these records compare EXACTLY — double
-// fields with ==, i.e. bit-for-bit on every finish-tag-driven decision.
-
-struct TraceEvent {
-  enum class Kind : std::uint8_t { kDepart, kDrop };
-  Kind kind{};
-  net::FlowId flow = net::kNoFlow;
-  std::uint64_t seq = 0;
-  sim::Bits size_bits = 0;
-
-  bool operator==(const TraceEvent&) const = default;
-};
-
-struct BackendTrace {
-  std::vector<TraceEvent> events;
-  std::vector<double> vtimes;  ///< V(t) after each workload op
-};
-
-inline TraceEvent depart_event(const net::Packet& p) {
-  return TraceEvent{TraceEvent::Kind::kDepart, p.flow, p.seq, p.size_bits};
-}
-
-inline TraceEvent drop_event(const net::Packet& p) {
-  return TraceEvent{TraceEvent::Kind::kDrop, p.flow, p.seq, p.size_bits};
-}
-
 }  // namespace ispn::sched_test

@@ -6,11 +6,12 @@
 // (including the feedback marks, echoes and backoffs), the per-class
 // statistics, link utilisation and the per-flow outcome table, compared
 // by expect_same_run (scenario_test_util.h) — must be byte-identical
-// across OrderBackend {heap, calendar} and shard counts.  As everywhere
-// else in this repo, shards=0 (classic, zero propagation delay) and
-// shards>=1 (per-hop link latency) are distinct deterministic references;
-// within each reference class every combination must agree bit-for-bit,
-// doubles compared with ==.
+// whether it runs in one run() call or in 50 advance() slices (the way
+// bench_ispn drives every measured run), and across shard counts.  As
+// everywhere else in this repo, shards=0 (classic, zero propagation
+// delay) and shards>=1 (per-hop link latency) are distinct deterministic
+// references; within each reference class every combination must agree
+// bit-for-bit, doubles compared with ==.
 //
 // Two seeded workloads per stack: a dumbbell (2-switch chain, the
 // canonical shared bottleneck) and an overloaded parking lot (drops =>
@@ -28,11 +29,9 @@ namespace {
 
 using scenario_test::TracedRun;
 
-TracedRun run_cc(scenario::ScenarioSpec spec, int shards,
-                 sched::OrderBackend order_backend) {
+TracedRun run_cc(scenario::ScenarioSpec spec, int shards, int slices = 1) {
   spec.shards = shards;
-  spec.order_backend = order_backend;
-  return scenario_test::traced_run(std::move(spec));
+  return scenario_test::traced_run(std::move(spec), slices);
 }
 
 scenario::ScenarioSpec dumbbell_spec(scenario::CcKind cc, std::uint64_t seed) {
@@ -66,26 +65,26 @@ scenario::ScenarioSpec parking_spec(scenario::CcKind cc, std::uint64_t seed) {
 constexpr scenario::CcKind kStacks[] = {
     scenario::CcKind::kReno, scenario::CcKind::kBbr, scenario::CcKind::kRack};
 
-/// shards=0: the classic single-clock reference, crossed over both
-/// ordering backends.
+/// shards=0: the classic single-clock reference, one-shot against sliced.
+/// Nothing may run between slices (an invariant audit there counts itself
+/// in the report).
 void classic_diff(const scenario::ScenarioSpec& spec, const std::string& label) {
-  const TracedRun ref = run_cc(spec, 0, sched::OrderBackend::kHeap);
+  const TracedRun ref = run_cc(spec, 0);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
   EXPECT_GT(ref.report.cc_flows, 0u)
       << label << ": no responsive flow attached";
   EXPECT_GT(ref.report.tcp_segments, 0u) << label;
 
-  scenario_test::expect_same_run(
-      ref, run_cc(spec, 0, sched::OrderBackend::kCalendar),
-      label + " under calendar-order");
+  scenario_test::expect_same_run(ref, run_cc(spec, 0, 50),
+                                 label + " in 50 slices");
 }
 
 /// shards>=1: the sharded reference, crossed over worker counts (all
 /// mutually byte-identical).
 void sharded_diff(const scenario::ScenarioSpec& spec,
                   const std::string& label) {
-  const TracedRun ref = run_cc(spec, 1, sched::OrderBackend::kHeap);
+  const TracedRun ref = run_cc(spec, 1);
   EXPECT_GT(ref.trace.size(), 500u)
       << label << ": workload too small to prove anything";
   EXPECT_GT(ref.report.cc_flows, 0u)
@@ -93,12 +92,12 @@ void sharded_diff(const scenario::ScenarioSpec& spec,
 
   for (const int shards : {2, 4}) {
     scenario_test::expect_same_run(
-        ref, run_cc(spec, shards, sched::OrderBackend::kHeap),
+        ref, run_cc(spec, shards),
         label + " under shards = " + std::to_string(shards));
   }
 }
 
-TEST(CcDiff, DumbbellClassicBackendsAgreePerStack) {
+TEST(CcDiff, DumbbellClassicSlicedAgreesPerStack) {
   for (const auto cc : kStacks) {
     for (const std::uint64_t seed : {101ull, 102ull}) {
       classic_diff(dumbbell_spec(cc, seed),
@@ -116,7 +115,7 @@ TEST(CcDiff, DumbbellShardedAgreesPerStack) {
   }
 }
 
-TEST(CcDiff, ParkingLotClassicBackendsAgreePerStack) {
+TEST(CcDiff, ParkingLotClassicSlicedAgreesPerStack) {
   for (const auto cc : kStacks) {
     for (const std::uint64_t seed : {201ull, 202ull}) {
       classic_diff(parking_spec(cc, seed),
@@ -150,12 +149,9 @@ TEST(CcDiff, StacksActuallyDiffer) {
   // on the same seed (else the dispatch is dead and the suite proves
   // nothing).  Compared via segment counts + echo counts, which diverge
   // as soon as pacing/loss-detection behaviour differs.
-  const TracedRun reno = run_cc(dumbbell_spec(scenario::CcKind::kReno, 101),
-                                0, sched::OrderBackend::kHeap);
-  const TracedRun bbr = run_cc(dumbbell_spec(scenario::CcKind::kBbr, 101), 0,
-                               sched::OrderBackend::kHeap);
-  const TracedRun rack = run_cc(dumbbell_spec(scenario::CcKind::kRack, 101),
-                                0, sched::OrderBackend::kHeap);
+  const TracedRun reno = run_cc(dumbbell_spec(scenario::CcKind::kReno, 101), 0);
+  const TracedRun bbr = run_cc(dumbbell_spec(scenario::CcKind::kBbr, 101), 0);
+  const TracedRun rack = run_cc(dumbbell_spec(scenario::CcKind::kRack, 101), 0);
   EXPECT_TRUE(reno.trace.size() != bbr.trace.size() ||
               reno.report.tcp_segments != bbr.report.tcp_segments ||
               reno.report.events != bbr.report.events)

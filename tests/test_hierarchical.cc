@@ -1,4 +1,4 @@
-// Hierarchical (two-level aggregate) scheduling differential suite.
+// Hierarchical (two-level aggregate) scheduling suite.
 //
 // UnifiedScheduler::Config::hierarchical collapses predicted classes and
 // the datagram aggregate into bounded per-class inner queues under the
@@ -13,16 +13,13 @@
 //   2. The knob changes scheduling only: the offered workload (flow
 //      arrival schedule, generated packets) is identical flat vs
 //      hierarchical.
-//   3. The flow-locality cache counters (ScenarioReport route/sink cache
-//      hits/misses), like every other counter in kReportCounters, are a
-//      pure function of the packet sequence, hence byte-identical across
-//      virtual-time ordering backends, in BOTH modes.  (Flat-path
-//      byte-identity itself is pinned by test_scenario_golden; this file
-//      extends the cross-backend invariant to the hierarchical mode.)
+//
+// Byte-identity of hierarchical runs — the packet trace and every counter
+// in kReportCounters, the flow-locality cache counters included — is
+// checked across shard counts by test_shard_diff's fan-in tree, which
+// runs in both modes.
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "scenario/runner.h"
 
@@ -44,11 +41,9 @@ scenario::ScenarioSpec mixed_spec() {
   return spec;
 }
 
-scenario::ScenarioReport run_spec(
-    scenario::ScenarioSpec spec, bool hierarchical,
-    sched::OrderBackend order_backend = sched::OrderBackend::kHeap) {
+scenario::ScenarioReport run_spec(scenario::ScenarioSpec spec,
+                                  bool hierarchical) {
   spec.hierarchical = hierarchical;
-  spec.order_backend = order_backend;
   scenario::ScenarioRunner runner(std::move(spec));
   return runner.run();
 }
@@ -107,27 +102,6 @@ TEST(Hierarchical, KnobChangesSchedulingOnly) {
   EXPECT_EQ(flat.generated, hier.generated);
   EXPECT_GT(flat.delivered, 0u);
   EXPECT_GT(hier.delivered, 0u);
-}
-
-// Cache hit/miss counters are deterministic: same spec -> same counters,
-// regardless of the schedulers' virtual-time ordering backend.  This is
-// what lets the counters live in ScenarioReport without weakening the
-// golden determinism contract.
-TEST(Hierarchical, CacheCountersByteIdenticalAcrossBackends) {
-  for (const bool hierarchical : {false, true}) {
-    const auto ref = run_spec(mixed_spec(), hierarchical);
-    ASSERT_TRUE(ref.conserved());
-    EXPECT_GT(ref.route_cache_hits + ref.route_cache_misses, 0u);
-    EXPECT_GT(ref.sink_label_hits, 0u);
-    const auto got = run_spec(mixed_spec(), hierarchical,
-                              sched::OrderBackend::kCalendar);
-    const std::string what = std::string("hierarchical=") +
-                             (hierarchical ? "1" : "0") + " under calendar";
-    for (const scenario::ReportCounter& c : scenario::kReportCounters) {
-      EXPECT_EQ(ref.*c.field, got.*c.field) << what << ": " << c.name;
-    }
-    EXPECT_EQ(ref.decision_hash(), got.decision_hash()) << what;
-  }
 }
 
 }  // namespace

@@ -39,9 +39,12 @@ TEST(ScenarioConfig, UnknownKeysAreDiagnosed) {
             std::string::npos)
       << "diagnostic must name the offending key";
   EXPECT_NE(must_throw("", "1").find("unknown key"), std::string::npos);
-  // The event core has one ordering structure: a config that still
-  // selects an event backend is diagnosed, not silently ignored.
+  // The event core and the schedulers have one ordering structure each:
+  // a config that still selects a backend is diagnosed, not silently
+  // ignored.
   EXPECT_NE(must_throw("event_backend", "wheel").find("unknown key"),
+            std::string::npos);
+  EXPECT_NE(must_throw("order_backend", "heap").find("unknown key"),
             std::string::npos);
 }
 
@@ -97,7 +100,6 @@ TEST(ScenarioConfig, EnumKeysRejectUnknownValues) {
   must_throw("reroute_policy", "panic");
   must_throw("admission_mode", "oracle");
   must_throw("measurement_estimator", "kalman");
-  must_throw("order_backend", "fifo");
   must_throw("preset", "doom");
   must_throw("scale", "galactic");
   must_throw("preempt_on_reject", "maybe");
@@ -131,6 +133,22 @@ TEST(ScenarioConfig, OutOfRangeValuesFailValidate) {
   reject("p_guaranteed", "0.7");  // chaos has p_predicted=0.4: mix > 1
   reject("target_loss", "-0.5");
   reject("target_loss", "1.5");
+  // Fabrics past ScenarioSpec::kMaxSwitches are refused here rather than
+  // exhausting memory in the builder; the count is 64-bit, so a mesh
+  // whose rows * cols overflows an int is refused too.
+  reject("chain_switches", "2000000000");
+  reject("tree_depth", "20");
+  reject("chain_switches",
+         std::to_string(scenario::ScenarioSpec::kMaxSwitches + 1).c_str());
+  scenario::ScenarioSpec mesh = scenario::preset("failure");
+  scenario::apply_override(mesh, "mesh_rows", "65536");
+  scenario::apply_override(mesh, "mesh_cols", "65536");
+  EXPECT_THROW(mesh.validate(), std::invalid_argument);
+  scenario::ScenarioSpec largest = scenario::preset("chain");
+  scenario::apply_override(
+      largest, "chain_switches",
+      std::to_string(scenario::ScenarioSpec::kMaxSwitches));
+  EXPECT_NO_THROW(largest.validate());
 }
 
 TEST(ScenarioConfig, ContradictoryCombinationsAreRejected) {
@@ -227,9 +245,9 @@ const char* const kAllKeys[] = {
     "admission_mode", "datagram_quota", "measurement_window",
     "measurement_safety", "measurement_estimator", "measurement_ewma_gain",
     "shards",         "link_latency",   "hierarchical",
-    "order_backend",
     // Removed or unknown keys must be refused, never crash.
-    "event_backend",  "no_such_knob",   "",               "FABRIC",
+    "event_backend",  "order_backend",  "no_such_knob",   "",
+    "FABRIC",
 };
 
 const char* const kAdversarialValues[] = {

@@ -1,40 +1,25 @@
 // Golden-trace regression suite for the scenario layer.
 //
-// Extends the queue-level differential harnesses up the stack: a WHOLE
-// scenario — fabric generation, live measurement-based admission, flow
-// churn, per-hop entry/exit traffic — must be byte-identical across every
-// virtual-time ordering backend (heap / calendar queue / auto).  Each
-// seeded scenario runs under all of them and is compared against the
-// kHeap reference through expect_same_run (scenario_test_util.h): the full
-// PacketTracer record stream, the decision hash and end time, every report
-// counter in kReportCounters (ledger, admission, failure, fault,
-// responsive and lookup-cache counters), the per-class delay statistics,
-// every link's utilisation and every per-flow outcome.
+// Extends the queue-level unit tests up the stack: a WHOLE scenario —
+// fabric generation, live measurement-based admission, flow churn, per-hop
+// entry/exit traffic — is a function of the spec, so each seeded
+// scenario's run is pinned to constants: decision hash, event count,
+// deliveries and a hash over every field of the full PacketTracer record
+// stream (scenario_test_util.h).  A deliberate behaviour change re-pins
+// them in its own diff.
 //
-// Comparing configurations against each other cannot catch a change that
-// shifts every configuration at once, so each scenario's reference run is
-// also pinned to constants: decision hash, event count, deliveries and
-// trace hash.  A deliberate behaviour change re-pins them in its own diff.
-//
-// When a divergence appears, test_event_backend_diff /
-// test_order_backend_diff localise it to a layer.
+// Cross-configuration byte-identity over every report counter lives in
+// the suites that vary a configuration: test_shard_diff (worker counts)
+// and test_cc_diff (congestion-control stacks, sliced runs).  When a
+// divergence appears, test_event_backend_diff (event ordering) and the
+// scheduler unit tests localise it to a layer.
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "scenario_test_util.h"
 
 namespace ispn {
 namespace {
-
-using scenario_test::TracedRun;
-
-TracedRun run_one(scenario::ScenarioSpec spec,
-                  sched::OrderBackend order_backend) {
-  spec.order_backend = order_backend;
-  return scenario_test::traced_run(std::move(spec));
-}
 
 /// Reference-run values pinned across commits.
 struct Pinned {
@@ -44,36 +29,22 @@ struct Pinned {
   std::uint64_t trace_hash;
 };
 
-/// Checks the kHeap reference run against `pinned` and every other order
-/// backend against it; returns the reference report.
-scenario::ScenarioReport golden(const scenario::ScenarioSpec& spec, const char* label,
-                 const Pinned& pinned) {
-  TracedRun ref = run_one(spec, sched::OrderBackend::kHeap);
+/// Runs `spec` traced, checks it against `pinned` and returns its report.
+scenario::ScenarioReport golden(const scenario::ScenarioSpec& spec,
+                                const char* label, const Pinned& pinned) {
+  scenario_test::TracedRun ref = scenario_test::traced_run(spec);
   EXPECT_GT(ref.trace.size(), 500u) << label << ": workload too small to "
                                        "prove anything";
   EXPECT_EQ(ref.report.decision_hash(), pinned.decision_hash) << label;
   EXPECT_EQ(ref.report.events, pinned.events) << label;
   EXPECT_EQ(ref.report.delivered, pinned.delivered) << label;
   EXPECT_EQ(scenario_test::hash_trace(ref.trace), pinned.trace_hash) << label;
-  struct Combo {
-    sched::OrderBackend order;
-    const char* name;
-  };
-  const Combo combos[] = {
-      {sched::OrderBackend::kCalendar, "calendar"},
-      {sched::OrderBackend::kAuto, "auto"},
-  };
-  for (const Combo& combo : combos) {
-    scenario_test::expect_same_run(
-        ref, run_one(spec, combo.order),
-        std::string(label) + " under " + combo.name);
-  }
   return std::move(ref.report);
 }
 
 // --- the golden scenarios -------------------------------------------------
 
-TEST(ScenarioGolden, FanInTreeByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, FanInTreeByteIdentical) {
   scenario::ScenarioSpec spec = scenario::preset("fan_in");
   scenario::apply_scale(spec, "small");
   spec.tree_width = 4;
@@ -84,7 +55,7 @@ TEST(ScenarioGolden, FanInTreeByteIdenticalAcrossBackends) {
          {0x494cb9aba3513ff0ull, 5598, 2740, 0xd2a062da1973c16aull});
 }
 
-TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, OverloadedParkingLotByteIdentical) {
   scenario::ScenarioSpec spec = scenario::preset("parking_lot");
   scenario::apply_scale(spec, "small");
   // Deliberate overload so the golden trace covers drops and pushout.
@@ -104,7 +75,7 @@ TEST(ScenarioGolden, OverloadedParkingLotByteIdenticalAcrossBackends) {
   EXPECT_GT(ref.net_drops, 0u) << "parking lot never overloaded";
 }
 
-TEST(ScenarioGolden, AdmissionChurnChainByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, AdmissionChurnChainByteIdentical) {
   scenario::ScenarioSpec spec = scenario::preset("churn");
   scenario::apply_scale(spec, "small");
   spec.seed = 13;
@@ -115,7 +86,7 @@ TEST(ScenarioGolden, AdmissionChurnChainByteIdenticalAcrossBackends) {
   EXPECT_GT(ref.flows_rejected, 0u) << "churn never exercised rejection";
 }
 
-TEST(ScenarioGolden, MeshWithFailuresByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, MeshWithFailuresByteIdentical) {
   scenario::ScenarioSpec spec = scenario::preset("failure");
   spec.run_seconds = 20.0;
   spec.seed = 14;
@@ -129,13 +100,13 @@ TEST(ScenarioGolden, MeshWithFailuresByteIdenticalAcrossBackends) {
       << "no packet was ever caught on a failing link";
 }
 
-TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, ChaosFaultPlaneByteIdentical) {
   // The full fault plane at once: switch crashes, capacity brown-outs,
   // transient loss episodes, link flapping, degrade-to-datagram shedding
   // and backoff-driven re-admission, with the invariant monitor auditing
   // throughout.  Every fault event is drawn at prepare() and quantized to
   // the control grid, so the whole run — including both new drop buckets
-  // and every fault counter — must stay byte-identical across backends.
+  // and every fault counter — is pinned like any other.
   scenario::ScenarioSpec spec = scenario::preset("chaos");
   spec.seed = 17;
 
@@ -152,7 +123,7 @@ TEST(ScenarioGolden, ChaosFaultPlaneByteIdenticalAcrossBackends) {
   EXPECT_EQ(ref.invariant_violations, 0u) << "the monitor flagged the run";
 }
 
-TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdentical) {
   // All three service classes live at once, with the best-effort flows
   // driven by a round-robin mix of the reno/bbr/rack stacks and the
   // DEC-TR-506 feedback loop marking at the bottleneneck's datagram
@@ -179,12 +150,10 @@ TEST(ScenarioGolden, CcMixWithBinaryFeedbackByteIdenticalAcrossBackends) {
   EXPECT_GT(ref.tcp_segments, 0u);
 }
 
-TEST(ScenarioGolden, ShardedFanInByteIdenticalAcrossBackends) {
+TEST(ScenarioGolden, ShardedFanInByteIdentical) {
   // The sharded execution model (per-switch domains, conservative
-  // lookahead windows) is its own deterministic reference: the golden
-  // invariant must hold across event/order backends there too.  Shard-
-  // count invariance itself is test_shard_diff's job; here shards=2
-  // pins the sharded path against backend variation.
+  // lookahead windows) is its own deterministic reference, pinned here at
+  // shards=2.  Shard-count invariance itself is test_shard_diff's job.
   scenario::ScenarioSpec spec = scenario::preset("fan_in");
   scenario::apply_scale(spec, "small");
   spec.tree_depth = 3;
@@ -199,7 +168,7 @@ TEST(ScenarioGolden, ShardedFanInByteIdenticalAcrossBackends) {
 TEST(ScenarioGolden, ExplicitFailureSchedulePreemptPolicy) {
   // Two explicit overlapping outages on the center switch's links, with
   // preempt (no degrade): refused re-offers tear flows down, and the
-  // decision log must still agree byte-for-byte across backends.  The
+  // decision log is pinned like every other.  The
   // chosen links cannot partition the 3x3 mesh, so the acceptance
   // invariant holds exactly: every admitted flow ends re-admitted,
   // degraded or preempted — never orphaned.

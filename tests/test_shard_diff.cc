@@ -9,8 +9,9 @@
 // every report counter, per-class statistics, link utilisation and
 // per-flow outcome tables (doubles compared bit-exactly).  Three fabrics
 // are fuzzed across seeds: a three-level fan-in tree (many domains, deep
-// aggregation), an overloaded parking lot (drops + pushout) and a mesh
-// under seeded link failures (reroutes, degradation, path epochs).
+// aggregation; flat and hierarchical scheduling), an overloaded parking
+// lot (drops + pushout) and a mesh under seeded link failures (reroutes,
+// degradation, path epochs).
 //
 // The building blocks get their own unit tests: the SPSC handoff ring
 // (order, wrap, full/empty, a real producer thread), the LinkMailbox
@@ -217,16 +218,28 @@ void shard_diff(const TracedRun& ref, const scenario::ScenarioSpec& spec,
 }
 
 TEST(ShardDiff, FanInTreeByteIdenticalAcrossShardCounts) {
-  for (const std::uint64_t seed : {31ull, 32ull}) {
-    scenario::ScenarioSpec spec = scenario::preset("fan_in");
-    scenario::apply_scale(spec, "small");
-    spec.tree_depth = 3;  // 1 + 4 + 16 switches: domains >> workers
-    spec.arrival_rate = 8.0;
-    spec.mean_hold = 2.0;
-    spec.target_flows = 24;
-    spec.seed = seed;
-    shard_diff(run_sharded(spec, 1), spec,
-               ("fan-in tree seed " + std::to_string(seed)).c_str());
+  // Flat and hierarchical (two-level aggregate) scheduling both; the
+  // compare set includes the flow-locality cache counters, which must be
+  // live for that to mean anything.
+  for (const bool hierarchical : {false, true}) {
+    for (const std::uint64_t seed : {31ull, 32ull}) {
+      scenario::ScenarioSpec spec = scenario::preset("fan_in");
+      scenario::apply_scale(spec, "small");
+      spec.tree_depth = 3;  // 1 + 4 + 16 switches: domains >> workers
+      spec.arrival_rate = 8.0;
+      spec.mean_hold = 2.0;
+      spec.target_flows = 24;
+      spec.hierarchical = hierarchical;
+      spec.seed = seed;
+      const std::string label = "fan-in tree seed " + std::to_string(seed) +
+                                (hierarchical ? " hierarchical" : " flat");
+      const TracedRun ref = run_sharded(spec, 1);
+      EXPECT_GT(ref.report.route_cache_hits + ref.report.route_cache_misses,
+                0u)
+          << label;
+      EXPECT_GT(ref.report.sink_label_hits, 0u) << label;
+      shard_diff(ref, spec, label.c_str());
+    }
   }
 }
 

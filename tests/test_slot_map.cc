@@ -154,7 +154,7 @@ TEST(DirectMapCache, InvalidateEmptiesEveryLine) {
 
 TEST(DirectMapCache, CountersAreDeterministic) {
   // Same probe sequence -> identical counters (the property that lets the
-  // scenario golden suite pin cache counters across engine backends).
+  // determinism suites compare cache counters across shard counts).
   auto run = [] {
     util::DirectMapCache<std::int32_t, int> c;
     std::mt19937_64 rng(99);

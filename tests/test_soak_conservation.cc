@@ -12,7 +12,7 @@
 //   allocation     the steady-state phase performs ZERO heap allocations
 //                  (this binary links the counting operator new/delete
 //                  overrides from alloc_hook.cc): pools, rings, slabs and
-//                  the ordering backends must all have stopped growing
+//                  the ordering structures must all have stopped growing
 //                  once warmed.
 //
 // ctest runs this under the `soak` label so sanitizer jobs can exclude it.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/inline_action.h"
-#include "util/calendar_queue.h"
 #include "util/dary_heap.h"
 #include "util/indexed_heap.h"
 #include "util/ring.h"
@@ -167,155 +166,6 @@ TEST(IndexedHeap, RandomisedAgainstReference) {
       EXPECT_DOUBLE_EQ(e.key, best);
       key[best_id] = -1.0;
     }
-  }
-}
-
-// ------------------------------------------------------- CalendarQueue
-//
-// The calendar must pop in exactly the heap's total order — (KeyLess, id)
-// — across bucketed, overflow, solo and rebuilt states; the differential
-// scheduler harness (test_order_backend_diff.cc) covers the same contract
-// end-to-end, these tests pin the structure directly.
-
-using Calendar = util::IndexedCalendarQueue<double, std::less<double>>;
-
-TEST(CalendarQueue, PopsInKeyThenIdOrder) {
-  Calendar c;
-  c.upsert(5, 1.0);
-  c.upsert(2, 1.0);  // tie: id order
-  c.upsert(9, 0.25);
-  c.upsert(7, 300.0);  // far ahead: overflow at default width
-  EXPECT_EQ(c.pop().id, 9u);
-  EXPECT_EQ(c.pop().id, 2u);
-  EXPECT_EQ(c.pop().id, 5u);
-  EXPECT_EQ(c.pop().id, 7u);
-  EXPECT_TRUE(c.empty());
-}
-
-TEST(CalendarQueue, SoloEntryReKeysAndPops) {
-  Calendar c;
-  c.upsert(3, 10.0);
-  EXPECT_EQ(c.size(), 1u);
-  c.upsert(3, 20.0);  // lone-entry re-key fast path
-  EXPECT_DOUBLE_EQ(c.top().key, 20.0);
-  const auto e = c.pop();
-  EXPECT_EQ(e.id, 3u);
-  EXPECT_DOUBLE_EQ(e.key, 20.0);
-  EXPECT_TRUE(c.empty());
-  c.upsert(3, 5.0);  // reusable afterwards
-  EXPECT_EQ(c.pop().id, 3u);
-}
-
-TEST(CalendarQueue, KeysSpanningManyYearsDrainInOrder) {
-  Calendar c;
-  // Default width 1/16, 256 buckets -> one year spans 16.0; these keys
-  // force repeated lazy overflow re-bucketing.
-  for (std::uint32_t id = 0; id < 40; ++id) c.upsert(id, 100.0 * id);
-  for (std::uint32_t id = 0; id < 40; ++id) {
-    EXPECT_EQ(c.pop().id, id);
-  }
-  EXPECT_GT(c.stats().year_advances, 0u);
-}
-
-TEST(CalendarQueue, KeyBehindTheWindowRebases) {
-  Calendar c;
-  c.upsert(1, 1000.0);
-  c.upsert(2, 1001.0);
-  (void)c.pop();        // scan settles around day(1000)
-  c.upsert(3, 2.0);     // regressing key: forces a window rebase
-  EXPECT_EQ(c.pop().id, 3u);
-  EXPECT_EQ(c.pop().id, 2u);
-  EXPECT_TRUE(c.empty());
-}
-
-TEST(CalendarQueue, RandomisedAgainstIndexedHeap) {
-  // Same op stream into both structures: pops and tops must agree exactly,
-  // including ties.  Keys are drawn from a coarse grid so identical keys
-  // (the degenerate WFQ pattern) occur constantly.
-  Calendar c;
-  util::IndexedDaryHeap<double, std::less<double>> h;
-  std::mt19937 rng(71);
-  for (int step = 0; step < 50000; ++step) {
-    const auto op = rng() % 5;
-    const std::uint32_t id = rng() % 48;
-    if (op <= 2) {
-      const double k = static_cast<double>(rng() % 512) * 0.125;
-      c.upsert(id, k);
-      h.upsert(id, k);
-    } else if (op == 3) {
-      EXPECT_EQ(c.erase(id), h.erase(id));
-    } else if (!h.empty()) {
-      const auto ce = c.pop();
-      const auto he = h.pop();
-      ASSERT_EQ(ce.id, he.id);
-      ASSERT_EQ(ce.key, he.key);
-    }
-    ASSERT_EQ(c.size(), h.size());
-    if (!h.empty()) {
-      ASSERT_EQ(c.top().key, h.top().key);
-    }
-  }
-}
-
-TEST(CalendarQueue, TunerConvergesOnSpreadKeys) {
-  // Keys advance with distinct sub-width spacing: the tuner should narrow
-  // until scans are short, then stop rebuilding.
-  Calendar c(/*width_hint=*/1.0);
-  double base = 0;
-  for (std::uint32_t id = 0; id < 64; ++id) c.upsert(id, base + id * 0.01);
-  for (int cycle = 0; cycle < 200000; ++cycle) {
-    const auto e = c.pop();
-    base += 0.01;
-    c.upsert(e.id, base + 0.64);
-  }
-  const auto& st = c.stats();
-  EXPECT_GT(st.rebuilds, 0u);   // it did adapt...
-  EXPECT_LT(st.rebuilds, 64u);  // ...and settled instead of thrashing
-  EXPECT_LT(static_cast<double>(st.scanned_slots) / st.finds, 8.0);
-}
-
-TEST(CalendarQueue, TunerDoesNotCollapseOnDegenerateTies) {
-  // Dozens of entries share bit-identical keys (saturated equal-weight WFQ
-  // tags are quantised to a grid).  Narrowing can never split such a
-  // cluster; the tuner must notice and leave the width alone.
-  Calendar c;
-  double grid = 0;
-  for (std::uint32_t id = 0; id < 64; ++id) c.upsert(id, 0.1);
-  for (int cycle = 0; cycle < 100000; ++cycle) {
-    const auto e = c.pop();
-    if (cycle % 64 == 63) grid += 0.1;
-    c.upsert(e.id, grid + 0.2);
-  }
-  EXPECT_EQ(c.stats().rebuilds, 0u);
-  EXPECT_GT(c.bucket_width(), 1e-3);  // never ran away toward kMinExp
-}
-
-TEST(OrderIndex, AutoMigratesAcrossThresholdsKeepingOrder) {
-  // Grow past kAutoUp (heap -> calendar), then drain below kAutoDown
-  // (calendar -> heap); every pop must still match a pure-heap reference.
-  util::OrderIndex<double, std::less<double>> auto_idx(
-      util::OrderBackend::kAuto);
-  util::OrderIndex<double, std::less<double>> heap_idx(
-      util::OrderBackend::kHeap);
-  std::mt19937 rng(5);
-  std::uint32_t live = 0;
-  EXPECT_FALSE(auto_idx.on_calendar());
-  for (int step = 0; step < 30000; ++step) {
-    // Saw-tooth population: repeatedly crosses both hysteresis edges.
-    const bool grow = (step / 300) % 2 == 0;
-    if (grow || live == 0) {
-      const std::uint32_t id = rng() % 256;
-      const double k = static_cast<double>(rng() % 1000) * 0.05;
-      auto_idx.upsert(id, k);
-      heap_idx.upsert(id, k);
-    } else {
-      const auto a = auto_idx.pop();
-      const auto h = heap_idx.pop();
-      ASSERT_EQ(a.id, h.id);
-      ASSERT_EQ(a.key, h.key);
-    }
-    live = static_cast<std::uint32_t>(heap_idx.size());
-    ASSERT_EQ(auto_idx.size(), heap_idx.size());
   }
 }
 

@@ -11,14 +11,16 @@
 // applied first).  Trailing key=value args override either form.
 //
 // Output: the human-readable report on stdout; --json PATH additionally
-// writes the machine-readable report.
+// writes the machine-readable report (PATH is opened before the run, so
+// an unwritable path is a usage error that costs no simulation).
 //
 // --chaos is the self-checking preset: every fault family active and the
 // invariant monitor auditing continuously; any structured violation makes
 // the run exit non-zero, so CI can drive it as a chaos gate.
 //
 // Exit codes: 0 success, 1 CONSERVATION VIOLATED or INVARIANT VIOLATIONS
-// (CI trips on this), 2 usage/config error.
+// (CI trips on this), 2 usage/config error or a json report that could
+// not be written.
 
 #include <cstdio>
 #include <cstring>
@@ -51,6 +53,7 @@ int main(int argc, char** argv) {
   bool have_spec = false;
   bool have_overrides = false;
   std::string json_path;
+  std::ofstream json_out;  // opened while parsing, before the run
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -95,6 +98,12 @@ int main(int argc, char** argv) {
       } else if (arg == "--json") {
         if (++i >= argc) return usage(argv[0]);
         json_path = argv[i];
+        json_out = std::ofstream(json_path, std::ios::trunc);
+        if (!json_out) {
+          std::fprintf(stderr, "cannot open json report '%s' for writing\n",
+                       json_path.c_str());
+          return 2;
+        }
       } else if (arg == "--shards") {
         // Worker threads for the sharded parallel core; any N >= 1 is
         // bit-identical to N=1 (0 restores the classic single clock).
@@ -153,13 +162,19 @@ int main(int argc, char** argv) {
   const scenario::ScenarioReport report = runner.run();
   report.to_text(std::cout);
 
+  int rc = 0;
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::trunc);
-    report.to_json(out);
-    std::printf("json report written to %s\n", json_path.c_str());
+    report.to_json(json_out);
+    json_out.close();
+    if (!json_out) {
+      std::fprintf(stderr, "failed writing json report '%s'\n",
+                   json_path.c_str());
+      rc = 2;
+    } else {
+      std::printf("json report written to %s\n", json_path.c_str());
+    }
   }
 
-  int rc = 0;
   if (!report.conserved()) {
     std::fprintf(stderr, "CONSERVATION VIOLATED\n");
     rc = 1;
