@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local pre-push gate / CI entry point: configure + build + ctest + a
 # scenario smoke + a malformed-input gate on the scenario CLI + one short
-# run of every paper bench and example + the bench_ispn smoke.
+# run of every paper bench and example + the bench_ispn smoke + one
+# sampled layer profile.
 # Usage: scripts/check.sh [build-dir]
 #
 # The bench and example runs only catch crashes and non-zero exits; the
@@ -107,5 +108,15 @@ echo "== bench_ispn smoke =="
 # Parekh-Gallager bound, sim_digest across repeats and worker counts).
 # It builds into .bench_build/ and writes no result files.
 bench_ispn/smoke.sh >/dev/null
+
+echo "== profile smoke =="
+# The sampled per-layer profile on a short fan-in run: the sampler must
+# build, take samples and attribute some of them to the event core.
+profile=$(scripts/profile.sh fanin-cbr --scale 0.05)
+if ! grep -q '^sim ' <<<"$profile"; then
+  echo "$profile" >&2
+  echo "scripts/profile.sh: no sim row" >&2
+  exit 1
+fi
 
 echo "OK"

@@ -290,10 +290,27 @@ void Network::attach_stats_sink(FlowId flow, NodeId dst, FlowSink* next) {
 }
 
 std::vector<NodeId> Network::route(NodeId src, NodeId dst) const {
-  if (down_links_.empty() && down_nodes_.empty()) {
-    return shortest_path(adjacency_, src, dst);
+  std::vector<NodeId> path{src};
+  if (src == dst) return path;
+  NodeId at = src;
+  if (is_host_.at(src)) {
+    const auto& uplink = adjacency_.at(src);
+    if (uplink.empty() || !effective_link_up(src, uplink.front())) return {};
+    at = uplink.front();
+    path.push_back(at);
   }
-  return shortest_path(active_adjacency(), src, dst);
+  while (at != dst) {
+    if (is_host_.at(at)) return {};  // a host forwards nothing
+    const auto& routes =
+        static_cast<const Switch&>(*nodes_.at(at)).routes();
+    const auto next = routes.find(dst);
+    // No entry: dst is unreachable.  A path about to outgrow the node
+    // count loops, which tables from one rebuild_routes never do.
+    if (next == routes.end() || path.size() >= nodes_.size()) return {};
+    at = next->second;
+    path.push_back(at);
+  }
+  return path;
 }
 
 std::size_t Network::queueing_hops(NodeId src, NodeId dst) const {

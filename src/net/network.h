@@ -202,8 +202,13 @@ class Network {
   /// TCP sink).
   void attach_stats_sink(FlowId flow, NodeId dst, FlowSink* next = nullptr);
 
-  /// Route (node sequence) currently used from src to dst over the ACTIVE
-  /// adjacency; empty when failed links leave dst unreachable.
+  /// Route (node sequence, both ends included) that packets from src to
+  /// dst take now: src's uplink, then each switch's installed next hop for
+  /// dst.  Admission therefore reserves exactly the links packets cross.
+  /// Empty when failed links or crashed switches leave dst unreachable.
+  /// Over the same active graph this equals shortest_path(): the BFS tree
+  /// path is the lexicographically least shortest path, and every suffix
+  /// of that path is the least shortest path from its first node.
   [[nodiscard]] std::vector<NodeId> route(NodeId src, NodeId dst) const;
 
   /// Number of finite-rate (queueing) links on the route src -> dst.

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -79,21 +78,8 @@ class PacketPool {
   /// reserved in grow() and cannot allocate.  In concurrent mode every
   /// release goes through the lock-free foreign stack — same-thread
   /// releases included, so release() needs no thread-identity check.
-  void release(Packet* p) noexcept {
-    if (concurrent_) {
-      Packet* head = foreign_head_.load(std::memory_order_relaxed);
-      do {
-        // The freed packet's own bytes hold the intrusive next pointer;
-        // acquire() overwrites them with a fresh Packet anyway.
-        std::memcpy(static_cast<void*>(p), &head, sizeof head);
-      } while (!foreign_head_.compare_exchange_weak(
-          head, p, std::memory_order_release, std::memory_order_relaxed));
-      foreign_count_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    assert(free_.size() < free_.capacity());
-    free_.push_back(p);
-  }
+  /// Out of line, so each PacketPtr destructor inlines to a null test.
+  void release(Packet* p) noexcept;
 
   /// Packets handed out and not yet returned.
   [[nodiscard]] std::size_t outstanding() const {
@@ -115,19 +101,7 @@ class PacketPool {
   /// Owner-thread only: swallows the whole foreign-return stack into the
   /// local free list.  One exchange claims every node; concurrent pushes
   /// after the exchange start a fresh stack for the next reclaim.
-  void reclaim_foreign() {
-    Packet* p = foreign_head_.exchange(nullptr, std::memory_order_acquire);
-    std::size_t n = 0;
-    while (p != nullptr) {
-      Packet* next = nullptr;
-      std::memcpy(&next, static_cast<void*>(p), sizeof next);
-      assert(free_.size() < free_.capacity());
-      free_.push_back(p);
-      p = next;
-      ++n;
-    }
-    if (n != 0) foreign_count_.fetch_sub(n, std::memory_order_relaxed);
-  }
+  void reclaim_foreign();
 
   void grow() {
     chunks_.push_back(std::make_unique<Packet[]>(kChunkPackets));

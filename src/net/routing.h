@@ -58,6 +58,8 @@ using FailureSchedule = std::vector<LinkEvent>;
 [[nodiscard]] NextHops compute_next_hops(const Adjacency& adj, NodeId source);
 
 /// Shortest path from `src` to `dst` (inclusive); empty if unreachable.
+/// Network::route walks the installed next-hop tables instead; the tests
+/// hold it to this as the reference.
 [[nodiscard]] std::vector<NodeId> shortest_path(const Adjacency& adj,
                                                 NodeId src, NodeId dst);
 

@@ -100,10 +100,10 @@ void ScenarioReport::to_text(std::ostream& out) const {
     const ClassStats& c = classes[i];
     out << "  " << class_name(i) << ": delivered " << c.delivered;
     if (c.delivered > 0) {
-      out << ", " << c.delay.mean() * 1e3 << " / " << c.p50.value() * 1e3
-          << " / " << c.p99.value() * 1e3 << " / " << c.p999.value() * 1e3
-          << " / " << c.delay.max() * 1e3 << ", jitter "
-          << c.jitter.mean() * 1e3;
+      out << ", " << c.delay.mean() * 1e3 << " / " << c.quantile(0.5) * 1e3
+          << " / " << c.quantile(0.99) * 1e3 << " / "
+          << c.quantile(0.999) * 1e3 << " / " << c.delay.max() * 1e3
+          << ", jitter " << c.jitter.mean() * 1e3;
     }
     out << "\n";
   }
@@ -139,9 +139,8 @@ void ScenarioReport::to_json(std::ostream& out) const {
     const ClassStats& c = classes[i];
     out << "    \"" << class_name(i) << "\": { \"delivered\": " << c.delivered
         << ", \"mean_delay\": " << c.delay.mean() << ", \"p50\": "
-        << (c.delivered ? c.p50.value() : 0.0) << ", \"p99\": "
-        << (c.delivered ? c.p99.value() : 0.0) << ", \"p999\": "
-        << (c.delivered ? c.p999.value() : 0.0) << ", \"max\": "
+        << c.quantile(0.5) << ", \"p99\": " << c.quantile(0.99)
+        << ", \"p999\": " << c.quantile(0.999) << ", \"max\": "
         << (c.delivered ? c.delay.max() : 0.0) << ", \"jitter_mean\": "
         << c.jitter.mean() << " }" << (i + 1 < classes.size() ? "," : "")
         << "\n";

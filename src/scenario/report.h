@@ -1,10 +1,12 @@
 // ScenarioReport: everything one scenario run produces.
 //
-// Aggregation is O(1) per delivered packet (Welford means, P² tail
-// quantiles, windowless counters) so million-packet runs stay inside the
-// engine's zero-steady-state-allocation discipline — only the per-flow
-// outcome table and the admission decision log grow, and those grow with
-// FLOWS, not packets.
+// Aggregation is O(1) per delivered packet (Welford means, a fixed
+// log-bucket delay histogram per class, windowless counters) so
+// million-packet runs stay inside the engine's zero-steady-state-allocation
+// discipline — only the per-flow outcome table and the admission decision
+// log grow, and those grow with FLOWS, not packets.  Reported class
+// quantiles are within 1/32 of the exact order statistics of the
+// delivered packets, and merge exactly across shard domains.
 
 #pragma once
 
@@ -18,7 +20,7 @@
 #include "core/builder.h"
 #include "net/packet.h"
 #include "stats/online_stats.h"
-#include "stats/p2_quantile.h"
+#include "stats/log_histogram.h"
 
 namespace ispn::scenario {
 
@@ -47,9 +49,7 @@ struct AdmissionDecision {
 struct ClassStats {
   std::uint64_t delivered = 0;
   stats::OnlineStats delay;                 ///< e2e queueing delay (s)
-  stats::P2Quantile p50{0.5};
-  stats::P2Quantile p99{0.99};
-  stats::P2Quantile p999{0.999};
+  stats::LogHistogram delay_hist;           ///< same samples, for quantiles
   /// |successive delay delta| computed WITHIN each flow (the per-flow
   /// previous delay lives with the flow), then aggregated per class —
   /// interleaved flows with different path lengths must not masquerade
@@ -59,9 +59,13 @@ struct ClassStats {
   void add_delay(double delay_s) {
     ++delivered;
     delay.add(delay_s);
-    p50.add(delay_s);
-    p99.add(delay_s);
-    p999.add(delay_s);
+    delay_hist.add(delay_s);
+  }
+
+  /// Nearest-rank q-quantile of the queueing delay (s), within 1/32 of
+  /// the exact order statistic and never beyond the observed maximum.
+  [[nodiscard]] double quantile(double q) const {
+    return delay_hist.quantile(q);
   }
 };
 

@@ -642,7 +642,12 @@ void ScenarioRunner::open_flow(const core::FlowSpec& fs,
   // simulator state, so the event/RNG streams are unchanged by the order.
   const std::size_t dst_domain =
       net().sharded() ? static_cast<std::size_t>(net().domain_of(fs.dst)) : 0;
-  rec.sink.emplace(&rec, &aggs_[dst_domain]);
+  DomainAgg& agg = aggs_[dst_domain];
+  // A domain's delay histograms are sized here, at its first sink: on the
+  // control thread rather than at a first delivery on the packet path,
+  // and only for domains that deliver rather than for all up front.
+  for (ClassStats& cls : agg.classes) cls.delay_hist.reserve();
+  rec.sink.emplace(&rec, &agg);
   net::FlowSink* sink = &*rec.sink;
   if (tracer_ != nullptr) {
     sink = net().sharded() ? tracer_->wrap_sink(sink, dst_domain)
@@ -871,33 +876,19 @@ std::uint64_t ScenarioRunner::events_processed() {
 }
 
 std::array<ClassStats, 3> ScenarioRunner::merged_classes() const {
-  if (aggs_.size() == 1) return aggs_.front().classes;
-  // Merge in domain order: counts, Welford moments and extrema combine
-  // exactly; P² has no exact merge, so the merged quantile is the
-  // delivered-weighted average of the per-domain estimates, fed as a
-  // single observation ("exact until five samples" makes value() return
-  // it verbatim).  Domain order is a function of the topology, so the
+  // Merge in domain order: counts, histograms and extrema combine
+  // exactly, Welford moments by the parallel combine (a lone domain is
+  // copied verbatim).  Domain order is a function of the topology, so the
   // merged table is identical for every shard count.
   std::array<ClassStats, 3> merged{};
   for (std::size_t c = 0; c < merged.size(); ++c) {
     ClassStats& m = merged[c];
-    double w50 = 0, w99 = 0, w999 = 0;
     for (const DomainAgg& agg : aggs_) {
       const ClassStats& s = agg.classes[c];
-      if (s.delivered == 0) continue;
       m.delivered += s.delivered;
       m.delay.merge(s.delay);
+      m.delay_hist.merge(s.delay_hist);
       m.jitter.merge(s.jitter);
-      const auto w = static_cast<double>(s.delivered);
-      w50 += w * s.p50.value();
-      w99 += w * s.p99.value();
-      w999 += w * s.p999.value();
-    }
-    if (m.delivered > 0) {
-      const auto n = static_cast<double>(m.delivered);
-      m.p50.add(w50 / n);
-      m.p99.add(w99 / n);
-      m.p999.add(w999 / n);
     }
   }
   return merged;

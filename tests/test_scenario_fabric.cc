@@ -9,7 +9,10 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "net/topology.h"
 #include "scenario/runner.h"
@@ -121,6 +124,66 @@ TEST(Clos, EveryLeafPairTwoHopsAndSpineFailover) {
   net.set_link_up(via[1], via[2], false);
   EXPECT_EQ(net.queueing_hops(topo.hosts[0], topo.hosts[1]), 2u);
   EXPECT_NE(net.route(topo.hosts[0], topo.hosts[1])[2], via[2]);
+}
+
+/// Every ordered host pair's route (the installed next hops) equals the
+/// BFS shortest path over the active graph, the oracle route() replaced.
+void expect_routes_match_oracle(net::Network& net, const std::string& what) {
+  const net::Adjacency active = net.active_adjacency();
+  std::vector<net::NodeId> hosts;
+  for (const auto& [id, neighbors] : net.adjacency()) {
+    if (net.is_host(id)) hosts.push_back(id);
+  }
+  for (const net::NodeId s : hosts) {
+    for (const net::NodeId d : hosts) {
+      ASSERT_EQ(net.route(s, d), net::shortest_path(active, s, d))
+          << what << ": " << s << " -> " << d;
+    }
+  }
+}
+
+TEST(Routes, InstalledNextHopsMatchShortestPathsUnderFailures) {
+  const std::vector<std::string> fabrics = {
+      "chain", "fan_in", "parking_lot", "churn", "failure", "chaos",
+      "mesh",  "ring",   "clos"};
+  for (const std::string& name : fabrics) {
+    scenario::ScenarioSpec spec;
+    if (name == "mesh") {
+      spec.fabric = scenario::FabricKind::kMesh;
+    } else if (name == "ring") {
+      spec.fabric = scenario::FabricKind::kRing;
+    } else if (name == "clos") {
+      spec.fabric = scenario::FabricKind::kClos;
+    } else {
+      spec = scenario::preset(name);
+    }
+    core::IspnNetwork ispn(spec.network_config());
+    scenario::build_fabric(ispn, spec);
+    net::Network& net = ispn.net();
+    expect_routes_match_oracle(net, name + " as built");
+
+    std::vector<net::NodeId> switches;
+    std::vector<std::pair<net::NodeId, net::NodeId>> links;  // hosts' too
+    for (const auto& [id, neighbors] : net.adjacency()) {
+      if (!net.is_host(id)) switches.push_back(id);
+      for (const net::NodeId v : neighbors) {
+        if (id < v) links.emplace_back(id, v);
+      }
+    }
+    // A seeded walk of link failures and repairs and switch crashes and
+    // recoveries; every step rebuilds the tables the route walks.
+    sim::Rng rng(17);
+    for (int step = 0; step < 24; ++step) {
+      if (rng.uniform() < 0.7) {
+        const auto [a, b] = links[rng.below(links.size())];
+        net.set_link_up(a, b, !net.link_up(a, b));
+      } else {
+        const net::NodeId n = switches[rng.below(switches.size())];
+        net.set_node_up(n, !net.node_up(n));
+      }
+      expect_routes_match_oracle(net, name + " step " + std::to_string(step));
+    }
+  }
 }
 
 TEST(QosFabric, PerHopRatesReachSchedulerMeasurementAndAdmission) {
