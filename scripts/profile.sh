@@ -3,9 +3,10 @@
 #
 # Usage: scripts/profile.sh WORKLOAD [--scale F]
 #
-#   WORKLOAD is a classic (single-threaded) bench_ispn workload: fanin-cbr,
-#   parking-mix or chaos-cc.  sharded-fanin runs worker threads, which a
-#   process-wide sampler cannot tell apart, so it is refused.
+#   WORKLOAD is a bench_ispn workload: fanin-cbr, parking-mix, chaos-cc or
+#   sharded-fanin.  sharded-fanin runs with --shards 1: its domain work
+#   then runs on the calling thread alone, so the process-wide sampler
+#   attributes every sample to the one thread doing the work.
 #
 # Builds scripts/profile/sampler.cc into an LD_PRELOAD library and brings
 # bench_ispn under .bench_build/ up to date, then runs
@@ -20,23 +21,24 @@ set -euo pipefail
 
 usage() {
   echo "usage: scripts/profile.sh WORKLOAD [--scale F]" >&2
-  echo "  WORKLOAD: fanin-cbr | parking-mix | chaos-cc (classic only)" >&2
+  echo "  WORKLOAD: fanin-cbr | parking-mix | chaos-cc | sharded-fanin" >&2
   exit 2
 }
 
 [ $# -ge 1 ] || usage
 workload=$1
 shift
+run_args=()
 case "$workload" in
   fanin-cbr | parking-mix | chaos-cc) ;;
+  sharded-fanin) run_args=(--shards 1) ;;
   *) usage ;;
 esac
-scale_args=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --scale)
       [ $# -ge 2 ] || usage
-      scale_args=(--scale "$2")
+      run_args+=(--scale "$2")
       shift 2
       ;;
     *) usage ;;
@@ -62,13 +64,13 @@ trap 'rm -rf "$tmp"' EXIT
 # The CPU bench_ispn/run.py pins single-threaded repeats to.
 cpu=$(python3 -c 'import os; print(max(os.sched_getaffinity(0)))')
 if ! (cd "$tmp" && taskset -c "$cpu" env LD_PRELOAD="$lib" \
-        "$bench" "$workload" --seed 7 "${scale_args[@]}" >run.log 2>&1); then
+        "$bench" "$workload" --seed 7 "${run_args[@]}" >run.log 2>&1); then
   cat "$tmp/run.log" >&2
   echo "profile.sh: bench_ispn failed" >&2
   exit 1
 fi
 
-python3 - "$tmp" "$workload ${scale_args[*]}" <<'PY'
+python3 - "$tmp" "$workload ${run_args[*]}" <<'PY'
 import bisect
 import collections
 import os

@@ -16,24 +16,19 @@
 // advance performs no division; stamp() takes the caller's cached
 // 1/weight so tag math is division-free too.
 //
-// Flow-0 policy.  The two historical copies diverged in how they treated
-// a flow whose weight changes *while it is fluid-backlogged*:
-// WfqScheduler's flows have weights frozen for the duration of a backlog
-// (add_flow() refuses to re-weight a backlogged flow), whereas
-// UnifiedScheduler's pseudo-flow 0 is re-weighted in place whenever a
-// guaranteed flow is admitted or torn down (its weight is μ − Σ r_α).
-// That divergence is now an explicit constructor knob instead of two
-// subtly different advance loops:
-//
-//   Flow0Policy::kPinned   — reweight() of a backlogged flow is deferred:
-//                            the active-weight sum keeps the arrival-time
-//                            weight until the flow next goes fluid-idle
-//                            (WfqScheduler semantics).
-//   Flow0Policy::kTracked  — reweight() adjusts the active-weight sum
-//                            immediately, changing the V(t) slope from
-//                            this instant (UnifiedScheduler's flow 0).
-//
-// test_fluid_clock.cc pins both behaviours and their divergence.
+// Flow 0.  UnifiedScheduler's pseudo-flow 0 carries every predicted and
+// datagram packet, so it is stamped on nearly every arrival.  Its
+// departure epoch and weight live in dedicated members beside the heap:
+// its stamp is two stores instead of a heap re-key, and the next epoch is
+// the smaller of its finish tag and the heap top.  At an epoch it shares
+// with heap flows, its weight leaves the sum first — the order a heap
+// keyed on (tag, id) gives flow 0 as id 0 — so V(t) rounds exactly as it
+// would with flow 0 in the heap.  Flow 0 is also the only flow whose
+// weight may change while it is backlogged: its weight is μ − Σ r_α,
+// which moves whenever a guaranteed flow is admitted or torn down, and
+// reweight_flow0() changes the V(t) slope from that instant.  Heap flows (every WfqScheduler flow and the
+// unified guaranteed flows) keep their arrival-time weight for the whole
+// backlog.
 
 #pragma once
 
@@ -41,6 +36,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/units.h"
@@ -50,18 +46,11 @@ namespace ispn::sched {
 
 class FluidClock {
  public:
-  enum class Flow0Policy {
-    kPinned,   ///< backlogged flows keep their arrival-time weight (WFQ)
-    kTracked,  ///< reweight() takes effect immediately (unified's flow 0)
-  };
-
-  explicit FluidClock(sim::Rate link_rate,
-                      Flow0Policy policy = Flow0Policy::kPinned)
-      : link_rate_(link_rate), policy_(policy) {
+  explicit FluidClock(sim::Rate link_rate) : link_rate_(link_rate) {
     assert(link_rate_ > 0);
   }
 
-  /// Stamps one arrival for flow `id`:
+  /// Stamps one arrival for heap flow `id`:
   ///
   ///     S = max(V, last_finish),   F = S + size · inv_weight
   ///
@@ -82,11 +71,26 @@ class FluidClock {
     return finish;
   }
 
+  /// stamp() for flow 0.
+  double stamp_flow0(double last_finish, sim::Bits size, double weight,
+                     double inv_weight) {
+    const double start = std::max(vtime_, last_finish);
+    const double finish = start + size * inv_weight;
+    if (!flow0_backlogged_) {
+      flow0_backlogged_ = true;
+      flow0_weight_ = weight;
+      active_weight_ += weight;
+      slope_dirty_ = true;
+    }
+    flow0_finish_ = finish;
+    return finish;
+  }
+
   /// Advances V(t) from the last update instant to `now`, processing the
   /// fluid departure epochs in between.
   void advance(sim::Time now) {
     while (last_update_ < now) {
-      if (fluid_.empty()) {
+      if (idle()) {
         // Fluid system idle: V frozen.
         last_update_ = now;
         return;
@@ -104,18 +108,27 @@ class FluidClock {
         }
         slope_dirty_ = false;
       }
-      const double next_finish = fluid_.top().key;
+      double next_finish = flow0_backlogged_ ? flow0_finish_ : kNever;
+      if (!fluid_.empty()) {
+        next_finish = std::min(next_finish, fluid_.top().key);
+      }
       const sim::Time reach = last_update_ + (next_finish - vtime_) * inv_slope_;
       if (reach <= now) {
-        // A flow empties in the fluid system before `now`.
+        // A flow empties in the fluid system before `now`: flow 0's
+        // weight leaves the sum first, then heap flows' in id order.
         vtime_ = next_finish;
         last_update_ = reach;
+        if (flow0_backlogged_ && flow0_finish_ <= vtime_) {
+          flow0_backlogged_ = false;
+          active_weight_ -= flow0_weight_;
+          slope_dirty_ = true;
+        }
         while (!fluid_.empty() && fluid_.top().key <= vtime_) {
           const std::uint32_t id = fluid_.pop().id;
           active_weight_ -= weights_[id];
           slope_dirty_ = true;
         }
-        if (fluid_.empty()) active_weight_ = 0;  // absorb fp residue
+        if (idle()) active_weight_ = 0;  // absorb fp residue
       } else {
         vtime_ += slope_ * (now - last_update_);
         last_update_ = now;
@@ -123,27 +136,25 @@ class FluidClock {
     }
   }
 
-  /// Changes the weight of flow `id` while it is backlogged.  Under
-  /// kTracked the active-weight sum (and hence the V(t) slope) changes
-  /// immediately; under kPinned the call is a no-op until the flow next
-  /// goes fluid-idle (a subsequent stamp() picks up the caller's new
-  /// weight).  No-op when the flow is fluid-idle — there is nothing to
-  /// track; the next stamp() carries the weight.
-  void reweight(std::uint32_t id, double new_weight) {
-    if (policy_ != Flow0Policy::kTracked) return;
-    if (!fluid_.contains(id)) return;
-    active_weight_ += new_weight - weights_[id];
-    weights_[id] = new_weight;
+  /// Changes flow 0's weight while it is backlogged: the active-weight
+  /// sum (and hence the V(t) slope) changes from this instant.  No-op
+  /// when flow 0 is fluid-idle — the next stamp_flow0() carries the
+  /// weight.
+  void reweight_flow0(double new_weight) {
+    if (!flow0_backlogged_) return;
+    active_weight_ += new_weight - flow0_weight_;
+    flow0_weight_ = new_weight;
     slope_dirty_ = true;
   }
 
-  /// Force-removes flow `id` from the fluid system (service teardown).
+  /// Force-removes heap flow `id` from the fluid system (service
+  /// teardown).
   void retire(std::uint32_t id) {
     if (!fluid_.contains(id)) return;
     fluid_.erase(id);
     active_weight_ -= weights_[id];
     slope_dirty_ = true;
-    if (fluid_.empty()) active_weight_ = 0;  // absorb fp residue
+    if (idle()) active_weight_ = 0;  // absorb fp residue
   }
 
   /// Re-rates the link (capacity brown-out / restore): V(t)'s slope uses
@@ -160,10 +171,13 @@ class FluidClock {
 
   [[nodiscard]] sim::Rate link_rate() const { return link_rate_; }
 
-  /// True while `id` is backlogged in the fluid system.
+  /// True while heap flow `id` is backlogged in the fluid system.
   [[nodiscard]] bool backlogged(std::uint32_t id) const {
     return fluid_.contains(id);
   }
+
+  /// True while flow 0 is backlogged in the fluid system.
+  [[nodiscard]] bool flow0_backlogged() const { return flow0_backlogged_; }
 
   /// V at the last advance() instant.
   [[nodiscard]] double vtime() const { return vtime_; }
@@ -171,11 +185,14 @@ class FluidClock {
   /// Sum of weights of fluid-backlogged flows (diagnostic).
   [[nodiscard]] double active_weight() const { return active_weight_; }
 
-  [[nodiscard]] bool idle() const { return fluid_.empty(); }
+  [[nodiscard]] bool idle() const {
+    return !flow0_backlogged_ && fluid_.empty();
+  }
 
  private:
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
   sim::Rate link_rate_;
-  Flow0Policy policy_;
 
   double vtime_ = 0;
   sim::Time last_update_ = 0;
@@ -186,6 +203,9 @@ class FluidClock {
   bool slope_dirty_ = true;
   util::IndexedDaryHeap<double, std::less<double>> fluid_;
   std::vector<double> weights_;  // weight each backlogged id contributed
+  bool flow0_backlogged_ = false;
+  double flow0_finish_ = 0;  // flow 0's departure epoch while backlogged
+  double flow0_weight_ = 0;  // the weight flow 0 contributes while backlogged
 };
 
 }  // namespace ispn::sched

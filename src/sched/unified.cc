@@ -10,7 +10,7 @@ namespace ispn::sched {
 UnifiedScheduler::UnifiedScheduler(Config config)
     : config_(config),
       flow0_weight_(config.link_rate),
-      clock_(config.link_rate, FluidClock::Flow0Policy::kTracked),
+      clock_(config.link_rate),
       flow0_inv_weight_(1.0 / config.link_rate) {
   assert(config_.link_rate > 0);
   assert(config_.num_predicted_classes >= 1);
@@ -36,8 +36,8 @@ void UnifiedScheduler::add_guaranteed(net::FlowId flow, sim::Rate rate) {
          "guaranteed clock rates must leave bandwidth for flow 0");
   flow0_inv_weight_ = 1.0 / flow0_weight_;
   // Dynamic admission: if flow 0 is currently fluid-backlogged its weight
-  // contribution must track the new value (the clock's kTracked policy).
-  clock_.reweight(kFlow0Heap, flow0_weight_);
+  // contribution must track the new value.
+  clock_.reweight_flow0(flow0_weight_);
 }
 
 void UnifiedScheduler::remove_guaranteed(net::FlowId flow) {
@@ -45,11 +45,11 @@ void UnifiedScheduler::remove_guaranteed(net::FlowId flow) {
   assert(slot != util::SlotMap::kNoSlot && "flow not registered");
   GFlow& g = guaranteed_[slot];
   assert(g.queue.empty() && "drain the flow before removing it");
-  clock_.retire(heap_id(slot));
+  clock_.retire(slot);
   guaranteed_rate_ -= g.rate;
   flow0_weight_ = config_.link_rate - guaranteed_rate_;
   flow0_inv_weight_ = 1.0 / flow0_weight_;
-  clock_.reweight(kFlow0Heap, flow0_weight_);
+  clock_.reweight_flow0(flow0_weight_);
   g.rate = 0;
   g.inv_rate = 0;
   g.last_finish = 0;
@@ -71,7 +71,7 @@ void UnifiedScheduler::expel_guaranteed(
     --total_packets_;
     sink(std::move(head.packet), now);
   }
-  heads_.erase(heap_id(slot));
+  heads_.erase(slot);
   remove_guaranteed(flow);
 }
 
@@ -94,7 +94,7 @@ void UnifiedScheduler::set_link_rate(sim::Rate rate, sim::Time now) {
   clock_.set_link_rate(rate);
   flow0_weight_ = rate - guaranteed_rate_;
   flow0_inv_weight_ = 1.0 / flow0_weight_;
-  clock_.reweight(kFlow0Heap, flow0_weight_);
+  clock_.reweight_flow0(flow0_weight_);
 }
 
 bool UnifiedScheduler::self_check(std::string* why) const {
@@ -179,23 +179,18 @@ void UnifiedScheduler::enqueue(net::PacketPtr p, sim::Time now) {
   const std::uint64_t order = arrivals_++;
 
   if (g != nullptr) {
-    const double finish = clock_.stamp(heap_id(gslot), g->last_finish, size,
-                                       g->rate, g->inv_rate);
+    const double finish =
+        clock_.stamp(gslot, g->last_finish, size, g->rate, g->inv_rate);
     g->last_finish = finish;
-    if (g->queue.empty()) {
-      heads_.upsert(heap_id(gslot), HeadKey{finish, order});
-    }
+    if (g->queue.empty()) heads_.upsert(gslot, HeadKey{finish, order});
     g->queue.push_back(Tagged{std::move(p), finish, order});
   } else {
     // Flow 0: one tag per packet, in arrival order; the packet itself goes
     // into its class queue.
-    const double finish = clock_.stamp(kFlow0Heap, flow0_last_finish_, size,
-                                       flow0_weight_, flow0_inv_weight_);
+    const double finish = clock_.stamp_flow0(flow0_last_finish_, size,
+                                             flow0_weight_, flow0_inv_weight_);
     flow0_last_finish_ = finish;
-    if (flow0_tags_.empty()) {
-      heads_.upsert(kFlow0Heap, HeadKey{finish, order});
-    }
-    flow0_tags_.push_back({finish, order});
+    flow0_tags_.push_back(HeadKey{finish, order});
 
     const int level = classify(*p);
     if (level == config_.num_predicted_classes) {
@@ -233,7 +228,7 @@ void UnifiedScheduler::enqueue(net::PacketPtr p, sim::Time now) {
       // Pathological: buffer full of guaranteed packets.  Drop the newest
       // packet of the arriving flow (i.e. the arrival itself).
       Tagged last = g->queue.pop_back();
-      if (g->queue.empty()) heads_.erase(heap_id(gslot));
+      if (g->queue.empty()) heads_.erase(gslot);
       bits_ -= last.packet->size_bits;
       --total_packets_;
       drop(std::move(last.packet), now);
@@ -286,7 +281,6 @@ net::PacketPtr UnifiedScheduler::pushout_flow0(sim::Time now) {
   // at-most-this-busy).
   assert(!flow0_tags_.empty());
   flow0_tags_.pop_back();
-  if (flow0_tags_.empty()) heads_.erase(kFlow0Heap);
 
   bits_ -= victim->size_bits;
   --total_packets_;
@@ -294,11 +288,10 @@ net::PacketPtr UnifiedScheduler::pushout_flow0(sim::Time now) {
 }
 
 void UnifiedScheduler::retire_tag_for_discard() {
-  // Called mid-dequeue: the heads_ entry is already gone, so only the tag
-  // queue needs adjusting.  The discarded packet's entitlement is retired
-  // from the back (latest finish tag), conservatively.  When the discard
-  // is the last flow-0 packet, the front tag popped at the start of the
-  // dequeue already covers it.
+  // Called mid-dequeue, after the served tag left the front.  The
+  // discarded packet's entitlement is retired from the back (latest finish
+  // tag), conservatively.  When the discard is the last flow-0 packet, the
+  // front tag popped at the start of the dequeue already covers it.
   if (!flow0_tags_.empty()) flow0_tags_.pop_back();
 }
 
@@ -347,41 +340,39 @@ net::PacketPtr UnifiedScheduler::dequeue(sim::Time now) {
   if (total_packets_ == 0) return nullptr;
   clock_.advance(now);
 
-  while (!heads_.empty()) {
-    const auto entry = heads_.pop();
-
-    if (entry.id == kFlow0Heap) {
-      assert(!flow0_tags_.empty() &&
-             flow0_tags_.front().second == entry.key.order);
+  for (;;) {
+    // Flow 0 is served when its head tag is no later than the earliest
+    // guaranteed head; it wins equal tags.
+    if (!flow0_tags_.empty() &&
+        (heads_.empty() ||
+         !HeadLess{}(heads_.top().key, flow0_tags_.front()))) {
       flow0_tags_.pop_front();
       net::PacketPtr p = pop_flow0(now);
       if (p == nullptr) {
         // Every flow-0 packet was discarded as stale; tag accounting has
-        // been settled by retire_tag_for_discard().  Try the next head.
+        // been settled by retire_tag_for_discard().  Try the guaranteed
+        // heads.
         assert(flow0_tags_.empty());
         continue;
-      }
-      if (!flow0_tags_.empty()) {
-        heads_.upsert(kFlow0Heap, HeadKey{flow0_tags_.front().first,
-                                          flow0_tags_.front().second});
       }
       bits_ -= p->size_bits;
       --total_packets_;
       return p;
     }
+    if (heads_.empty()) return nullptr;  // all queued was discarded as stale
 
-    GFlow& g = guaranteed_[entry.id - 1];
+    const std::uint32_t slot = heads_.pop().id;
+    GFlow& g = guaranteed_[slot];
     assert(!g.queue.empty());
     Tagged head = g.queue.pop_front();
     if (!g.queue.empty()) {
       const Tagged& next = g.queue.front();
-      heads_.upsert(entry.id, HeadKey{next.finish, next.order});
+      heads_.upsert(slot, HeadKey{next.finish, next.order});
     }
     bits_ -= head.packet->size_bits;
     --total_packets_;
     return std::move(head.packet);
   }
-  return nullptr;  // everything queued was discarded as stale
 }
 
 }  // namespace ispn::sched

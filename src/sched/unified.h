@@ -27,14 +27,17 @@
 // predicted-priority map are dense vectors indexed by compact slots
 // (util::SlotMap remaps flow ids to the lowest free slot on first sight,
 // so per-link memory scales with registered flows, never max(FlowId)),
-// per-flow FIFOs are power-of-two rings, and the fluid ordering (inside
-// the shared sched::FluidClock) and head ordering are indexed min-heaps
-// holding exactly one re-keyable entry per flow (heap id 0 is the flow-0
-// pseudo-flow, the guaranteed flow in slot s maps to id s+1, preserving
-// the tie-break that flow 0 wins equal finish tags).  Flow 0's weight is
-// μ − Σ r_α and changes in place when guaranteed flows are admitted or
-// torn down — the clock's kTracked flow-0 policy.  FIFO+ class queues are
-// flat heaps of POD keys with packets parked in a slab.
+// per-flow FIFOs are power-of-two rings, and the guaranteed flows' fluid
+// ordering (inside the shared sched::FluidClock) and head ordering are
+// indexed min-heaps holding exactly one re-keyable entry per flow, with
+// the guaranteed flow in slot s as id s.  Pseudo-flow 0, which nearly
+// every packet of a predicted/datagram mix belongs to, is in neither
+// heap: its head tag is the front of its tag ring, compared with the
+// guaranteed heap's top on each dequeue, and FluidClock keeps its
+// departure epoch in dedicated members.  Flow 0's weight is μ − Σ r_α
+// and changes in place when guaranteed flows are admitted or torn down
+// (FluidClock::reweight_flow0).  FIFO+ class queues are flat heaps of POD
+// keys with packets parked in a slab.
 //
 // Ties at equal finish tags order flow 0 first, then guaranteed flows by
 // slot (first-registration order — itself deterministic, since flow
@@ -254,11 +257,6 @@ class UnifiedScheduler final : public Scheduler {
   };
   static constexpr std::int16_t kNoLevel = -1;
 
-  /// Heap ids: 0 is the flow-0 pseudo-flow, the guaranteed flow in
-  /// compact slot s is s+1 (so flow 0 still wins equal finish-tag ties).
-  static constexpr std::uint32_t kFlow0Heap = 0;
-  static std::uint32_t heap_id(std::uint32_t gslot) { return gslot + 1; }
-
   /// Compact guaranteed slot of `id`, or SlotMap::kNoSlot when `id` is not
   /// currently add_guaranteed()ed.
   [[nodiscard]] std::uint32_t find_gslot(net::FlowId id) const {
@@ -293,7 +291,7 @@ class UnifiedScheduler final : public Scheduler {
   [[nodiscard]] int classify(const net::Packet& p) const;
 
   /// Retires one flow-0 transmission entitlement during a dequeue-time
-  /// discard (heads_ entry already removed by the caller).
+  /// discard (the served tag already popped by the caller).
   void retire_tag_for_discard();
 
   Config config_;
@@ -314,12 +312,12 @@ class UnifiedScheduler final : public Scheduler {
   sim::Rate flow0_weight_;
 
   // Fluid/WFQ state shared by guaranteed flows and flow 0: the shared
-  // V(t) machinery (tracked flow-0 weight) plus one head entry per flow.
+  // V(t) machinery plus one head entry per backlogged guaranteed flow.
   FluidClock clock_;
   HeadOrder heads_;
 
   // Flow 0: tag queue (arrival order) + classed packet queues.
-  util::Ring<std::pair<double, std::uint64_t>> flow0_tags_;  // (F, order)
+  util::Ring<HeadKey> flow0_tags_;  // (F, order) of each queued packet
   double flow0_last_finish_ = 0;
   double flow0_inv_weight_;  // cached 1 / flow0_weight_
   std::vector<PredictedClass> classes_;       // K predicted levels

@@ -7,7 +7,7 @@ namespace ispn::sched {
 
 WfqScheduler::WfqScheduler(Config config)
     : config_(config),
-      clock_(config.link_rate, FluidClock::Flow0Policy::kPinned) {
+      clock_(config.link_rate) {
   assert(config_.link_rate > 0);
   assert(config_.default_weight > 0);
 }

@@ -9,9 +9,9 @@
 // and the packetized scheduler transmits, whenever the link frees, the
 // queued packet with the smallest finish tag F (ties broken by arrival
 // order).  The fluid virtual time V(t) — slope-cached advance through the
-// fluid departure epochs — is the shared sched::FluidClock; WFQ's flows
-// have weights frozen while backlogged, which is the clock's kPinned
-// flow-0 policy.
+// fluid departure epochs — is the shared sched::FluidClock, whose heap
+// flows keep their weight while backlogged (add_flow() refuses to
+// re-weight a backlogged flow).
 //
 // Hot-path layout: per-flow state is a dense vector indexed by a compact
 // slot (util::SlotMap assigns each flow id the lowest free slot on first

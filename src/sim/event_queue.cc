@@ -20,15 +20,6 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-const EventQueue::Key* EventQueue::drop_stale() {
-  for (;;) {
-    const Key* k = wheel_.peek();
-    assert(k != nullptr && "live_ > 0 but wheel empty");
-    if (key_live(*k)) return k;
-    wheel_.pop_front();
-  }
-}
-
 void EventQueue::escalate_resolution() {
   ticks_per_sec_ *= 64.0;  // one escalation step finer
   adapt_at_ *= 64;         // next step only after a comparable pile-up
@@ -43,67 +34,119 @@ void EventQueue::escalate_resolution() {
   }
 }
 
+// Inlined into fire(): one call per event is a measurable share of the
+// dispatch cost.
+[[gnu::always_inline]] inline const EventQueue::Key* EventQueue::head(
+    Order stop, Wheel::Tick stop_tick, std::uint8_t& from) {
+  for (;;) {
+    std::uint8_t lane = kLanes;
+    Order best = stop;
+    for (std::uint8_t i = 0; i < lanes_used_; ++i) {
+      if (lane_heads_[i] < best) {
+        best = lane_heads_[i];
+        lane = i;
+      }
+    }
+    const Key* w = wheel_.peek_ready();
+    if (w == nullptr && !wheel_.empty()) {
+      // Peek no further than the lane winner's tick, so the wheel's cursor
+      // never runs ahead of the clock (see TimingWheel::peek_until).
+      w = wheel_.peek_until(lane < kLanes ? tick_of(time_of(best))
+                                          : stop_tick);
+    }
+    const Key* k = nullptr;
+    if (w != nullptr && w->order() < best) {
+      k = w;
+      lane = kLanes;
+    } else if (lane < kLanes) {
+      k = &lanes_[lane].keys.front();
+    } else {
+      return nullptr;
+    }
+    if (key_live(*k)) {
+      from = lane;
+      return k;
+    }
+    // Fired, cancelled or superseded since it was filed.
+    if (lane < kLanes) {
+      pop_lane(lane);
+    } else {
+      wheel_.drop_front();
+    }
+  }
+}
+
 Time EventQueue::next_time() const {
   assert(live_ > 0);
   // Skimming stale keys (and advancing the wheel cursor) mutates only the
-  // ordering structure, not observable state; the first live key
+  // ordering structures, not observable state; the first live key
   // determines the next time.
-  return const_cast<EventQueue*>(this)->drop_stale()->time;
+  std::uint8_t from = kLanes;
+  return const_cast<EventQueue*>(this)
+      ->head(kNoKey, ~Wheel::Tick{0}, from)
+      ->time;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  drop_stale();
-  return pop_front_live();
-}
-
-bool EventQueue::pop_if_before(Time end, bool inclusive, Fired& out) {
-  if (live_ == 0) return false;
-  const Time t = drop_stale()->time;
-  if (inclusive ? t > end : t >= end) return false;
-  out = pop_front_live();
-  return true;
-}
-
-EventQueue::Fired EventQueue::pop_front_live() {
-  const Key k = wheel_.pop_front();
-  assert(key_live(k));
-  // Overlap upcoming events' slab-slot DRAM misses with the current
-  // event's execution: at a million pending timers the slab is far beyond
-  // cache and the very next access to it is the key_live() / dispatch
-  // load for the entry now at the run head.  Two entries deep: the +1 slot
-  // is needed within one event (~hundreds of ns), the +2 prefetch gets two
-  // full events of lead.  Pure hints; ordering and observable state are
-  // untouched.
-  if (const Key* nk = wheel_.peek_ready()) {
-    // The hint one pop ago covered nk's slot line, so reading it now is
-    // usually cache-warm; chase one level deeper and warm the persistent
-    // action it will invoke (the timer callback living inside a source
-    // object — cold at million-flow scale).
-    const Slot& ns = slots_[nk->slot];
-    if (ns.persistent && ns.external != nullptr) {
-      __builtin_prefetch(ns.external);
+std::uint64_t EventQueue::fire(Time end, bool inclusive, std::uint64_t limit,
+                               Clock& clock) {
+  if (!(end >= 0)) return 0;  // every key is at a non-negative time
+  // A key fires while its order is below `stop`: seqs start at 1, so
+  // (end, 0) admits nothing at `end` and (end, max) everything.
+  const Order stop = Key{end + 0.0, inclusive ? ~std::uint64_t{0} : 0, 0, 0}
+                         .order();
+  const Wheel::Tick stop_tick = tick_of(end);
+  std::uint64_t n = 0;
+  while (n < limit && live_ > 0) {
+    std::uint8_t from = kLanes;
+    const Key* h = head(stop, stop_tick, from);
+    if (h == nullptr) break;
+    const Key k = *h;
+    // Overlap upcoming events' slab-slot DRAM misses with this event's
+    // execution: at a million pending timers the slab is far beyond cache
+    // and the next access to it is the liveness / dispatch load for the
+    // key next in line behind this one (in its lane, or in the wheel's
+    // sorted run).  The hint one event ago covered `next`'s slot line, so
+    // reading it now is usually cache-warm; warm the action it will invoke
+    // (a timer callback inside a source object, or a one-shot payload),
+    // and give the slot after it a full event of lead.  Pure hints;
+    // ordering and observable state are untouched.
+    const Key* next = nullptr;
+    const Key* after = nullptr;
+    if (from < kLanes) {
+      pop_lane(from);
+      const util::Ring<Key>& keys = lanes_[from].keys;
+      if (keys.size() > 0) next = &keys[0];
+      if (keys.size() > 1) after = &keys[1];
+    } else {
+      wheel_.drop_front();
+      next = wheel_.peek_ready();
+      after = wheel_.peek_ready(1);
     }
-    // And hint the slot after it, giving that line a full event of lead
-    // before its own read above.
-    if (const Key* nk2 = wheel_.peek_ready(1)) {
-      __builtin_prefetch(&slots_[nk2->slot]);
+    if (next != nullptr) {
+      const Slot& ns = slots_[next->slot];
+      __builtin_prefetch(ns.persistent ? ns.external : &actions_[next->slot]);
+      if (after != nullptr) __builtin_prefetch(&slots_[after->slot]);
+    }
+    last_pop_time_ = k.time;
+    clock.now = k.time;
+    ++clock.processed;
+    ++n;
+    --live_;
+    Slot& s = slots_[k.slot];
+    if (s.persistent) {
+      // Marked idle *before* the action runs so the action can re-arm; the
+      // action itself lives in the Timer object, immune to slab growth.
+      s.live = false;
+      (*s.external)();
+    } else {
+      // Moved out first: the slot is retired (its id goes stale) before
+      // the action runs, and the action may grow the slab.
+      EventAction action = std::move(actions_[k.slot]);
+      release_slot(k.slot);
+      action();
     }
   }
-  Slot& s = slots_[k.slot];
-  last_pop_time_ = k.time;
-  Fired fired;
-  fired.time = k.time;
-  if (s.persistent) {
-    // Marked idle *before* the action runs so the action can re-arm; the
-    // action itself lives in the Timer object, immune to slab growth.
-    s.live = false;
-    fired.in_place = s.external;
-  } else {
-    fired.action = std::move(s.action);
-    release_slot(k.slot);
-  }
-  --live_;
-  return fired;
+  return n;
 }
 
 TimerSlot EventQueue::create_timer(InlineAction* action) {
@@ -129,12 +172,23 @@ void EventQueue::destroy_timer(TimerSlot t) {
 void EventQueue::arm_timer(TimerSlot t, Time at) {
   assert(t < slots_.size() && slots_[t].persistent);
   Slot& s = slots_[t];
-  ++s.gen;  // supersedes any pending key atomically
-  if (!s.live) {
-    s.live = true;
-    ++live_;
+  const std::uint32_t gen = supersede(s);
+  push_key(Key{at, next_seq_++, t, gen});
+}
+
+std::uint8_t EventQueue::claim_lane(Slot& s, Duration delay) {
+  std::uint8_t pick = kLanes;
+  for (std::uint8_t i = 0; i < lanes_used_; ++i) {
+    if (lanes_[i].delay == delay) return s.lane = i;
+    if (pick == kLanes && lanes_[i].keys.empty()) pick = i;
   }
-  push_key(Key{at, next_seq_++, t, s.gen});
+  if (pick == kLanes) {
+    if (lanes_used_ == kLanes) return kLanes;
+    pick = lanes_used_++;
+  }
+  // An empty lane carries no ordering obligation to its old delay.
+  lanes_[pick].delay = delay;
+  return s.lane = pick;
 }
 
 bool EventQueue::disarm_timer(TimerSlot t) {

@@ -11,7 +11,10 @@
 //     an O(1) generation check that frees the slot immediately — there is
 //     no cancelled-id set to probe on every pop, and a cancelled id can
 //     never leak (the stale ordering key is discarded by generation
-//     mismatch when it surfaces).
+//     mismatch when it surfaces).  The slab is split: each slot's 16-byte
+//     state (generation, flags, timer action pointer) sits in one dense
+//     array, so the liveness check every fired key makes reads four slots
+//     per cache line, and one-shot actions sit in a parallel array.
 //   * Ordering lives in a hierarchical timing wheel (util/timing_wheel.h)
 //     holding small (time, seq, slot, gen) keys: O(1) insert with lazy
 //     cascade, and pops in exact (time, seq) order through a sorted run per
@@ -27,6 +30,20 @@
 //     stays valid even if firing the action grows the slab.  Re-arming
 //     bumps the slot generation, which atomically invalidates any pending
 //     key — arm-over-arm needs no cancel.
+//   * Beside the wheel sit kLanes fixed-delay FIFO lanes.  A timer
+//     re-armed with the delay it used last time (a source's emission
+//     period, a port's transmission time) appends its key to that delay's
+//     lane: keys armed at now + d with a non-decreasing clock arrive in
+//     (time, seq) order, so a lane is sorted by construction and needs no
+//     bucketing, cascading or sorting.  One-off delays, absolute arms,
+//     one-shot events and delays beyond a full lane table use the wheel.
+//     The next event is the smallest (time, seq) among the wheel head and
+//     the lane heads; keys compare as one 128-bit integer (time bits,
+//     seq), exact because a non-negative double's bit pattern orders like
+//     its value.
+//   * fire() is the one dispatch loop: it skims stale keys and runs each
+//     event in place — a persistent timer through its Timer-owned action,
+//     a one-shot after moving its action out of the retired slot.
 //
 // Generations are 32-bit and wrap after 2^32 schedules of one slot; with a
 // handful of outstanding ids per slot (ports hold at most one retry timer)
@@ -34,6 +51,9 @@
 
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -41,6 +61,7 @@
 
 #include "sim/inline_action.h"
 #include "sim/units.h"
+#include "util/ring.h"
 #include "util/timing_wheel.h"
 
 namespace ispn::sim {
@@ -61,11 +82,18 @@ using TimerSlot = std::uint32_t;
 inline constexpr TimerSlot kInvalidTimerSlot = ~TimerSlot{0};
 
 /// Slab-allocated timed-event queue with stable same-time ordering, O(1)
-/// cancel, and timing-wheel ordering.  Not thread-safe: the simulator is
-/// single-threaded by design.
+/// cancel, and timing-wheel plus fixed-delay-lane ordering.  Not
+/// thread-safe: the simulator is single-threaded by design.
 class EventQueue {
  public:
-  EventQueue() = default;
+  /// What fire() advances before each action runs: the firing event's
+  /// time and the count of events fired.  The Simulator owns one.
+  struct Clock {
+    Time now = 0;
+    std::uint64_t processed = 0;
+  };
+
+  EventQueue() { lane_heads_.fill(kNoKey); }
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -76,7 +104,7 @@ class EventQueue {
   EventId schedule(Time at, F&& action) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
-    s.action = InlineAction(std::forward<F>(action));
+    actions_[slot] = InlineAction(std::forward<F>(action));
     s.live = true;
     push_key(Key{at, next_seq_++, slot, s.gen});
     ++live_;
@@ -95,32 +123,16 @@ class EventQueue {
   /// Time of the earliest live event.  Precondition: !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Removes and returns the earliest live event, advancing past any stale
-  /// ordering keys.  For a one-shot event the action is moved out and the
-  /// slot retired; for a persistent timer the action is invoked in place
-  /// (it lives in the Timer object, not the slab).
-  struct Fired {
-    Time time = 0;
-    EventAction action;               ///< one-shot payload
-    EventAction* in_place = nullptr;  ///< persistent timer payload
-    void operator()() {
-      if (in_place != nullptr) {
-        (*in_place)();
-      } else {
-        action();
-      }
-    }
-  };
-  Fired pop();
-
-  /// If the earliest live event fires at or before `end` (strictly before
-  /// when `inclusive` is false), pops it into `out` and returns true;
-  /// otherwise returns false with the queue untouched.  The simulator's
-  /// run loops use this instead of the next_time()+pop() pair: one front
-  /// skim per event instead of two, which at millions of events per
-  /// second is a measurable share of the dispatch cost.  Pop order is
-  /// identical to pop().
-  bool pop_if_before(Time end, bool inclusive, Fired& out);
+  /// Fires live events in exact (time, seq) order while the earliest is at
+  /// or before `end` (strictly before when `inclusive` is false), at most
+  /// `limit` of them, and returns how many fired.  Before each action
+  /// runs, `clock.now` is set to its time and `clock.processed` counts
+  /// it, so the action reads an exact clock and count.  A one-shot's
+  /// action is moved out and its slot retired first; a persistent timer
+  /// is marked idle (so it may re-arm) and its Timer-owned action invoked
+  /// in place.
+  std::uint64_t fire(Time end, bool inclusive, std::uint64_t limit,
+                     Clock& clock);
 
   // --- persistent timers (wrapped by sim::Timer) ---------------------------
 
@@ -137,6 +149,33 @@ class EventQueue {
   /// (Re-)arms the timer for absolute time `at`.  A pending arm is
   /// superseded atomically (generation bump); no cancel round-trip.
   void arm_timer(TimerSlot t, Time at);
+
+  /// arm_timer() for `at` = now + `delay`, where `delay` repeats the
+  /// timer's previous relative arm: the key joins `delay`'s lane when one
+  /// serves it or can be claimed, else the wheel.  Precondition: `at` is
+  /// the caller's clock plus `delay`, and that clock never runs backwards.
+  void rearm_timer(TimerSlot t, Time at, Duration delay) {
+    assert(t < slots_.size() && slots_[t].persistent);
+    Slot& s = slots_[t];
+    std::uint8_t i = s.lane;
+    if (i >= lanes_used_ || lanes_[i].delay != delay) {
+      i = claim_lane(s, delay);
+      if (i == kLanes) {
+        arm_timer(t, at);
+        return;
+      }
+    }
+    const Key k{at, next_seq_++, t, supersede(s)};
+    util::Ring<Key>& keys = lanes_[i].keys;
+    assert(keys.empty() || !(k.order() < keys.back().order()));
+    if (keys.empty()) {
+      lane_heads_[i] = k.order();
+    } else if (keys.size() == keys.capacity() && keys.size() >= kLaneJump) {
+      keys.reserve(std::max(2 * keys.size(), live_));
+    }
+    keys.push_back(k);
+    ++lane_inserts_;
+  }
 
   /// Disarms a pending timer.  Returns false if it was not pending (never
   /// armed, already fired, or already disarmed).
@@ -157,6 +196,10 @@ class EventQueue {
   /// Total events ever scheduled (diagnostic).
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_ - 1; }
 
+  /// Scheduled keys that went to a fixed-delay lane instead of the wheel
+  /// (diagnostic; lane_inserts() / total_scheduled() is the lane share).
+  [[nodiscard]] std::uint64_t lane_inserts() const { return lane_inserts_; }
+
   /// Slab capacity / recycled-slot count (diagnostics; tests pin slot
   /// reuse and leak-freedom through these).
   [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
@@ -166,26 +209,51 @@ class EventQueue {
   [[nodiscard]] double ticks_per_sec() const { return ticks_per_sec_; }
 
  private:
+  /// Number of fixed-delay lanes: a constant, scanned on every fire.
+  static constexpr std::uint8_t kLanes = 8;
+  /// A full lane doubles, but one already this long grows straight to the
+  /// live event count: a population of timers moving off the wheel (a
+  /// million CBR sources re-arming over one period) then allocates once
+  /// instead of doubling through the period, while a lane that few timers
+  /// share stays small.
+  static constexpr std::size_t kLaneJump = 1024;
+
+  /// A slot's state; its one-shot payload is actions_[slot].
   struct Slot {
-    InlineAction action;             ///< one-shot payload
     InlineAction* external = nullptr;  ///< persistent payload (Timer-owned)
     std::uint32_t gen = 1;  ///< bumped on every retire / (re-)arm
     bool live = false;      ///< one-shot pending / timer armed
     bool persistent = false;
+    std::uint8_t lane = kLanes;  ///< lane of the timer's last rearm (hint)
   };
+  /// (time, seq) as one integer: time bits high, seq low.
+  using Order = unsigned __int128;
+  static constexpr Order kNoKey = ~Order{0};  ///< above every key's order
+  static Time time_of(Order o) {
+    return std::bit_cast<Time>(static_cast<std::uint64_t>(o >> 64));
+  }
   struct Key {
-    Time time = 0;
+    Time time = 0;          // non-negative: its bit pattern orders like it
     std::uint64_t seq = 0;  // global tie-break: same-time FIFO
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
+    [[nodiscard]] Order order() const {
+      return Order{std::bit_cast<std::uint64_t>(time)} << 64 | seq;
+    }
   };
   struct KeyLess {
     bool operator()(const Key& a, const Key& b) const {
-      if (a.time != b.time) return a.time < b.time;
-      return a.seq < b.seq;
+      return a.order() < b.order();
     }
   };
   using Wheel = util::TimingWheel<Key, KeyLess>;
+
+  /// The keys of timers re-armed `delay` after their arm instant, in
+  /// (time, seq) order.
+  struct Lane {
+    Duration delay = -1;  ///< -1 until first claimed
+    util::Ring<Key> keys;
+  };
 
   /// Wheel resolution: 2^17 ticks per second (~7.6 us) at rest.  Fine
   /// enough that distinct transmission instants land in distinct buckets
@@ -229,6 +297,7 @@ class EventQueue {
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
+      actions_.emplace_back();
       // Keep the free list able to hold every slot without reallocating:
       // release_slot() must stay allocation-free even when a burst of
       // one-shot events drains and the freelist grows past any size seen
@@ -250,7 +319,7 @@ class EventQueue {
     s.persistent = false;
     s.external = nullptr;
     ++s.gen;
-    s.action.reset();
+    actions_[slot].reset();
     free_.push_back(slot);
   }
 
@@ -259,11 +328,12 @@ class EventQueue {
     return s.live && s.gen == k.gen;
   }
 
-  void push_key(const Key& k) {
+  void push_key(Key k) {
     if (live_ >= adapt_at_ && wheel_.max_run_length() >= kCrowdedRun &&
         ticks_per_sec_ < kMaxTicksPerSec) {
       escalate_resolution();
     }
+    k.time += 0.0;  // -0.0 -> +0.0, whose bits order like the value
     wheel_.insert(k, tick_of(k.time));
   }
 
@@ -272,19 +342,46 @@ class EventQueue {
   /// sorted run showed the ticks are genuinely too coarse).
   void escalate_resolution();
 
-  /// Discards ordering keys whose slot has been fired/cancelled/re-armed
-  /// since, leaving the earliest live key on top and returning it.
-  /// Precondition: live_ > 0 (a live key exists).
-  const Key* drop_stale();
+  /// Bumps the timer's generation (any pending key goes stale) and marks
+  /// it armed.
+  std::uint32_t supersede(Slot& s) {
+    ++s.gen;
+    if (!s.live) {
+      s.live = true;
+      ++live_;
+    }
+    return s.gen;
+  }
 
-  /// pop() after drop_stale(): removes the front key (known live) and
-  /// retires/fires its slot.  Precondition: live_ > 0 and no stale key on
-  /// top.
-  Fired pop_front_live();
+  /// The index of the lane serving `delay` when the slot's lane hint
+  /// misses: a lane already serving it, else an empty or unclaimed lane
+  /// claimed for it, else kLanes (every lane busy with other delays).
+  /// Records the answer as the slot's hint.
+  std::uint8_t claim_lane(Slot& s, Duration delay);
+
+  /// Removes lane `i`'s front key and refreshes its cached head.
+  void pop_lane(std::uint8_t i) {
+    Lane& lane = lanes_[i];
+    lane.keys.pop_front();
+    lane_heads_[i] = lane.keys.empty() ? kNoKey : lane.keys.front().order();
+  }
+
+  /// The earliest live key ordered below `stop` among the lane heads and
+  /// the wheel head, or nullptr; stale keys met on the way are discarded.
+  /// `from` is set to the index of the lane holding it (kLanes: the
+  /// wheel).
+  const Key* head(Order stop, Wheel::Tick stop_tick, std::uint8_t& from);
 
   std::vector<Slot> slots_;         // slab; addressed by index only
+  std::vector<InlineAction> actions_;  // one-shot payloads, by slot
   std::vector<std::uint32_t> free_;
   Wheel wheel_;
+  std::array<Lane, kLanes> lanes_;
+  /// lanes_[i]'s front key order (kNoKey when empty): what the fire loop
+  /// scans, so picking the next event touches no ring.
+  std::array<Order, kLanes> lane_heads_;
+  std::uint8_t lanes_used_ = 0;  // lanes_[0, lanes_used_) were claimed
+  std::uint64_t lane_inserts_ = 0;
   double ticks_per_sec_ = kBaseTicksPerSec;
   std::size_t adapt_at_ = kAdaptOccupancy;  // x64 after each escalation
   Time last_pop_time_ = 0;

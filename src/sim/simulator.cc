@@ -1,49 +1,34 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace ispn::sim {
 
+namespace {
+constexpr Time kForever = std::numeric_limits<Time>::infinity();
+constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
+}  // namespace
+
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  now_ = fired.time;
-  ++processed_;
-  fired();
-  return true;
+  return queue_.fire(kForever, /*inclusive=*/true, 1, clock_) == 1;
 }
 
 std::uint64_t Simulator::run_until(Time end) {
-  std::uint64_t n = 0;
-  EventQueue::Fired fired;
-  while (queue_.pop_if_before(end, /*inclusive=*/true, fired)) {
-    now_ = fired.time;
-    ++processed_;
-    fired();
-    ++n;
-  }
+  const std::uint64_t n =
+      queue_.fire(end, /*inclusive=*/true, kNoLimit, clock_);
   // Advance the clock to the horizon so subsequent after() calls are
   // relative to the end of the run.
-  now_ = std::max(now_, end);
+  clock_.now = std::max(clock_.now, end);
   return n;
 }
 
 std::uint64_t Simulator::run_before(Time end) {
-  std::uint64_t n = 0;
-  EventQueue::Fired fired;
-  while (queue_.pop_if_before(end, /*inclusive=*/false, fired)) {
-    now_ = fired.time;
-    ++processed_;
-    fired();
-    ++n;
-  }
-  return n;
+  return queue_.fire(end, /*inclusive=*/false, kNoLimit, clock_);
 }
 
 std::uint64_t Simulator::run() {
-  std::uint64_t n = 0;
-  while (step()) ++n;
-  return n;
+  return queue_.fire(kForever, /*inclusive=*/true, kNoLimit, clock_);
 }
 
 }  // namespace ispn::sim

@@ -32,7 +32,7 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulation time (seconds).
-  [[nodiscard]] Time now() const { return now_; }
+  [[nodiscard]] Time now() const { return clock_.now; }
 
   /// Schedules `action` (any void() callable; closures up to
   /// InlineAction::kCapacity bytes are stored without allocation) at
@@ -40,15 +40,15 @@ class Simulator {
   /// the action is clamped to fire at now().
   template <typename F>
   EventId at(Time at, F&& action) {
-    assert(at >= now_ - 1e-12 && "scheduling into the past");
-    return queue_.schedule(std::max(at, now_), std::forward<F>(action));
+    assert(at >= now() - 1e-12 && "scheduling into the past");
+    return queue_.schedule(std::max(at, now()), std::forward<F>(action));
   }
 
   /// Schedules `action` `delay` seconds from now.
   template <typename F>
   EventId after(Duration delay, F&& action) {
     assert(delay >= 0 && "negative delay");
-    return queue_.schedule(now_ + std::max(delay, 0.0),
+    return queue_.schedule(now() + std::max(delay, 0.0),
                            std::forward<F>(action));
   }
 
@@ -86,7 +86,7 @@ class Simulator {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// Total events processed so far (diagnostic).
-  [[nodiscard]] std::uint64_t processed() const { return processed_; }
+  [[nodiscard]] std::uint64_t processed() const { return clock_.processed; }
 
   /// The underlying event queue (timer plumbing, slab diagnostics).
   [[nodiscard]] EventQueue& queue() { return queue_; }
@@ -94,8 +94,7 @@ class Simulator {
 
  private:
   EventQueue queue_;
-  Time now_ = 0;
-  std::uint64_t processed_ = 0;
+  EventQueue::Clock clock_;
 };
 
 }  // namespace ispn::sim

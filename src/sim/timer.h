@@ -21,6 +21,11 @@
 //
 // pending() is false by the time the action runs, so a handler observing
 // "not pending" can re-arm unconditionally.
+//
+// arm_after() with the same delay as the previous arm_after() (a source's
+// emission period, a port's transmission time) files the key in the event
+// queue's FIFO lane for that delay instead of its timing wheel; any other
+// arm goes to the wheel.  Firing order is (time, seq) either way.
 
 #pragma once
 
@@ -48,7 +53,8 @@ class Timer {
       : sim_(other.sim_),
         slot_(other.slot_),
         action_(std::move(other.action_)),
-        expiry_(other.expiry_) {
+        expiry_(other.expiry_),
+        last_delay_(other.last_delay_) {
     other.sim_ = nullptr;
     other.slot_ = kInvalidTimerSlot;
     if (sim_ != nullptr) sim_->queue().rebind_timer(slot_, &action_);
@@ -61,6 +67,7 @@ class Timer {
       slot_ = other.slot_;
       action_ = std::move(other.action_);
       expiry_ = other.expiry_;
+      last_delay_ = other.last_delay_;
       other.sim_ = nullptr;
       other.slot_ = kInvalidTimerSlot;
       if (sim_ != nullptr) sim_->queue().rebind_timer(slot_, &action_);
@@ -86,8 +93,14 @@ class Timer {
   void arm_after(Duration delay) {
     assert(delay >= 0 && "negative delay");
     assert(sim_ != nullptr && "arming an empty timer");
-    expiry_ = sim_->now() + (delay > 0 ? delay : 0.0);
-    sim_->queue().arm_timer(slot_, expiry_);
+    const Duration d = delay > 0 ? delay : 0.0;
+    expiry_ = sim_->now() + d;
+    if (d == last_delay_) {
+      sim_->queue().rearm_timer(slot_, expiry_, d);
+    } else {
+      last_delay_ = d;
+      sim_->queue().arm_timer(slot_, expiry_);
+    }
   }
 
   /// Disarms a pending arm.  Returns false if nothing was pending.
@@ -119,6 +132,7 @@ class Timer {
   TimerSlot slot_ = kInvalidTimerSlot;
   InlineAction action_;
   Time expiry_ = 0;
+  Duration last_delay_ = -1;  ///< delay of the last arm_after(); -1: none
 };
 
 template <typename F>

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <memory>
@@ -48,6 +49,7 @@ class Ring {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
 
   [[nodiscard]] T& front() {
     assert(size_ > 0);
@@ -113,6 +115,11 @@ class Ring {
     return out;
   }
 
+  /// Grows the buffer to hold at least `n` elements (a power of two).
+  void reserve(std::size_t n) {
+    if (n > cap_) regrow(std::bit_ceil(n));
+  }
+
   void clear() {
     for (std::size_t i = 0; i < size_; ++i) (*this)[i] = T{};
     head_ = 0;
@@ -120,8 +127,9 @@ class Ring {
   }
 
  private:
-  void grow() {
-    const std::size_t new_cap = cap_ == 0 ? 8 : cap_ * 2;
+  void grow() { regrow(cap_ == 0 ? 8 : cap_ * 2); }
+
+  void regrow(std::size_t new_cap) {
     auto fresh = std::make_unique<T[]>(new_cap);
     for (std::size_t i = 0; i < size_; ++i) fresh[i] = std::move((*this)[i]);
     buf_ = std::move(fresh);

@@ -132,8 +132,10 @@ class TimingWheel {
       return;
     }
     const std::uint32_t n = acquire_node();
-    meta_[n].tick = tick < cursor_ ? cursor_ : tick;
+    const Tick at = tick < cursor_ ? cursor_ : tick;
+    meta_[n].tick = at;
     keys_[n] = k;
+    floor_ = std::min(floor_, at);
     link(n);
   }
 
@@ -147,39 +149,27 @@ class TimingWheel {
     return i < run_.size() ? &run_[i] : nullptr;
   }
 
-  /// Earliest entry by (tick, Less); nullptr iff empty.  Advances the
-  /// cursor and cascades higher levels as a side effect (ordering-internal
-  /// mutation only, same contract as a heap's lazy sift).
-  [[nodiscard]] const K* peek() {
+  /// Earliest entry by (tick, Less) if its tick is at most `limit` (an
+  /// entry already in the sorted run is returned whatever its tick), else
+  /// nullptr.  Advances the cursor and cascades higher levels as a side
+  /// effect (ordering-internal mutation only, same contract as a heap's
+  /// lazy sift), but never past `limit`: a caller merging the wheel with
+  /// other ordered sources bounds the peek by their head's tick, because a
+  /// cursor run ahead of the caller's clock would send every nearer insert
+  /// into the sorted run.  The earliest tick found beyond `limit` is kept
+  /// as a floor, so repeated peeks below it cost one compare.
+  [[nodiscard]] const K* peek_until(Tick limit) {
     if (head_ < run_.size()) return &run_[head_];
-    if (count_ == 0) return nullptr;
-    for (;;) {
-      if (run_active_) {
-        run_.clear();
-        head_ = 0;
-        run_active_ = false;
-      }
-      // The earliest occupied level-0 bucket precedes everything still
-      // bucketed later in the window or at level 1 and above.
-      const int b =
-          find_occupied(0, static_cast<unsigned>(cursor_ & kSlotMask));
-      if (b >= 0) {
-        pull_tick(static_cast<unsigned>(b));
-        return &run_[head_];
-      }
-      refill();
-      if (head_ < run_.size()) return &run_[head_];
-    }
+    if (count_ == 0 || limit < floor_) return nullptr;
+    return advance_until(limit);
   }
 
-  /// Removes the entry peek() would return.  Precondition: !empty().
-  K pop_front() {
-    const K* k = peek();
-    assert(k != nullptr);
-    K out = *k;
+  /// Removes the entry the last peek_until() returned.  Precondition:
+  /// that peek returned an entry.
+  void drop_front() {
+    assert(head_ < run_.size());
     ++head_;
     --count_;
-    return out;
   }
 
   /// Moves every pending key into `out` (appended, in no particular
@@ -214,6 +204,7 @@ class TimingWheel {
     max_run_ = 0;
     count_ = 0;
     cursor_ = cursor;
+    floor_ = 0;
     // Rebuild the node freelist wholesale; cheaper than walking lists.
     free_.clear();
     for (std::uint32_t n = 0; n < meta_.size(); ++n) free_.push_back(n);
@@ -258,6 +249,33 @@ class TimingWheel {
       }
       if (++wi >= kOccWords) return -1;
       word = occ_[level * kOccWords + wi];
+    }
+  }
+
+  /// peek_until() past an exhausted run: pulls the earliest tick at or
+  /// before `limit` into the run, cascading as needed.  Out of line so
+  /// that peek_until()'s checks inline into the caller's per-event loop.
+  [[gnu::noinline]] const K* advance_until(Tick limit) {
+    for (;;) {
+      if (run_active_) {
+        run_.clear();
+        head_ = 0;
+        run_active_ = false;
+      }
+      // The earliest occupied level-0 bucket precedes everything still
+      // bucketed later in the window or at level 1 and above.
+      const int b =
+          find_occupied(0, static_cast<unsigned>(cursor_ & kSlotMask));
+      if (b >= 0) {
+        const Tick tick = (cursor_ & ~kSlotMask) | static_cast<Tick>(b);
+        if (tick > limit) {
+          floor_ = tick;
+          return nullptr;
+        }
+        pull_tick(static_cast<unsigned>(b));
+        return &run_[head_];
+      }
+      if (!refill(limit)) return nullptr;
     }
   }
 
@@ -334,9 +352,11 @@ class TimingWheel {
   /// non-empty level and relink its entries one level down (level-1
   /// entries spill into level-0 tick buckets, keeping runs single-tick);
   /// the caller rescans from level 0.  An empty wheel with overflow
-  /// entries re-homes them.  Precondition: count_ > head_==run
-  /// exhausted, level-0 window empty.
-  void refill() {
+  /// entries re-homes them.  Returns false, changing nothing but the
+  /// floor, when that bucket (or the earliest overflow tick) starts past
+  /// `limit`.  Precondition: count_ > 0, run exhausted, level-0 window
+  /// empty.
+  bool refill(Tick limit) {
     for (unsigned level = 1; level < kLevels; ++level) {
       const unsigned idx = static_cast<unsigned>(
           (cursor_ >> (level * kLevelBits)) & kSlotMask);
@@ -346,8 +366,13 @@ class TimingWheel {
       if (found < 0) continue;
       const unsigned b = static_cast<unsigned>(found);
       const Tick stride = Tick{1} << (level * kLevelBits);
-      cursor_ = (cursor_ & ~(stride * kSlotsPerLevel - 1)) |
-                (static_cast<Tick>(b) * stride);
+      const Tick start = (cursor_ & ~(stride * kSlotsPerLevel - 1)) |
+                         (static_cast<Tick>(b) * stride);
+      if (start > limit) {
+        floor_ = start;
+        return false;
+      }
+      cursor_ = start;
       occ_clear(level, b);
       std::uint32_t n = bucket_at(level, b);
       bucket_at(level, b) = kNil;
@@ -356,19 +381,24 @@ class TimingWheel {
         link(n);  // spills strictly below `level`; pure relink
         n = next;
       }
-      return;  // caller rescans from level 0
+      return true;  // caller rescans from level 0
     }
     // Every level is empty: remaining entries live past the wheel's span.
     assert(overflow_ != kNil);
-    rehome_overflow();
+    return rehome_overflow(limit);
   }
 
   /// Jumps the cursor to the earliest overflow tick and re-buckets every
-  /// overflow entry now within the span.  Rare by construction.
-  void rehome_overflow() {
+  /// overflow entry now within the span, unless that tick is past
+  /// `limit`.  Rare by construction.
+  bool rehome_overflow(Tick limit) {
     Tick min_tick = meta_[overflow_].tick;
     for (std::uint32_t n = overflow_; n != kNil; n = meta_[n].next) {
       min_tick = std::min(min_tick, meta_[n].tick);
+    }
+    if (min_tick > limit) {
+      floor_ = min_tick;
+      return false;
     }
     cursor_ = min_tick;
     std::uint32_t n = overflow_;
@@ -378,6 +408,7 @@ class TimingWheel {
       link(n);
       n = next;
     }
+    return true;
   }
 
   std::array<std::uint32_t, kLevels * kSlotsPerLevel> buckets_{};
@@ -388,6 +419,7 @@ class TimingWheel {
   std::vector<std::uint32_t> free_;
   std::vector<K> run_;  ///< sorted entries of the active level-0 window
   Tick cursor_ = 0;
+  Tick floor_ = 0;  ///< no bucketed or overflow entry has a smaller tick
   Tick run_limit_ = 0;  ///< first tick past the active window
   std::size_t head_ = 0;  ///< consumed prefix of the run
   bool run_active_ = false;

@@ -1,24 +1,37 @@
 // Differential determinism harness for the event core.
 //
-// The event queue orders events on a hierarchical timing wheel: coarse
-// integer ticks, per-tick sorted runs, lazy cascades, overflow re-homing
-// and load-adaptive resolution.  None of that may be observable.  Firing
-// order must be exactly (time, seq): same-instant events fire in
-// scheduling order, a re-armed timer takes a fresh place in line, and a
-// cancelled or disarmed event never fires.
+// The event queue orders events on a hierarchical timing wheel (coarse
+// integer ticks, per-tick sorted runs, lazy cascades, overflow re-homing,
+// load-adaptive resolution) plus a small table of fixed-delay FIFO lanes
+// that take the keys of timers re-armed with their previous delay.  None
+// of that may be observable.  Firing order must be exactly (time, seq):
+// same-instant events fire in scheduling order, a re-armed timer takes a
+// fresh place in line, and a cancelled, disarmed or superseded event never
+// fires.
 //
-// The harness replays seeded op streams — one-shot schedules across wildly
-// mixed horizons, same-instant clusters, cancels of random outstanding
-// ids, persistent-timer arm/re-arm/disarm, interleaved pops — through a
-// Simulator and through a reference model written here: an ordered map
-// keyed on (time, seq) with the same supersede and cancel rules.  The two
-// (time, tag) firing sequences must match exactly, doubles compared with
-// ==, since one transposed same-instant pair is enough to change every
-// downstream statistic.
+// The harness replays seeded op streams through a Simulator and through a
+// reference model written here: an ordered map keyed on (time, seq) with
+// the same supersede and cancel rules.  The two (time, tag) firing
+// sequences must match exactly, doubles compared with ==, since one
+// transposed same-instant pair is enough to change every downstream
+// statistic.  Two stream families:
+//
+//   * the wheel fuzz — one-shot schedules across wildly mixed horizons,
+//     same-instant clusters, cancels of random outstanding ids,
+//     persistent-timer arm/re-arm/disarm with random delays, interleaved
+//     pops;
+//   * the lane fuzz — many timers sharing each of more distinct dyadic
+//     delays than there are lanes, re-arming themselves with arm_after()
+//     from their own action (the periodic source pattern), mixed with
+//     supersedes of a pending arm by the same delay, delay switches,
+//     disarms, arm_at(), arm_after(0), one-shot schedule/cancel, and
+//     pops.  Dyadic delays keep every sum exact, so arms from different
+//     lanes and the wheel keep landing on the same instant.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <random>
 #include <utility>
@@ -38,16 +51,17 @@ struct Firing {
   }
 };
 
-constexpr int kTimers = 4;
-
 /// The event core under test, driven through Simulator and Timer.
 class WheelQueue {
  public:
-  WheelQueue() {
-    timers_.reserve(kTimers);
-    for (int i = 0; i < kTimers; ++i) {
+  explicit WheelQueue(int timers)
+      : timer_tags_(static_cast<std::size_t>(timers)),
+        periods_(static_cast<std::size_t>(timers)) {
+    timers_.reserve(static_cast<std::size_t>(timers));
+    for (std::size_t i = 0; i < static_cast<std::size_t>(timers); ++i) {
       timers_.emplace_back(sim_, [this, i] {
         fired.push_back({sim_.now(), timer_tags_[i]});
+        if (periods_[i] > 0) timers_[i].arm_after(periods_[i]);
       });
     }
   }
@@ -59,20 +73,34 @@ class WheelQueue {
   }
   void cancel(std::size_t handle) { sim_.cancel(ids_[handle]); }
   void arm(int timer, sim::Duration delay, int tag) {
-    timer_tags_[timer] = tag;
-    timers_[static_cast<std::size_t>(timer)].arm_after(delay);
+    timer_tags_[index(timer)] = tag;
+    timers_[index(timer)].arm_after(delay);
   }
-  void disarm(int timer) {
-    timers_[static_cast<std::size_t>(timer)].disarm();
+  void arm_at(int timer, sim::Time at, int tag) {
+    timer_tags_[index(timer)] = tag;
+    timers_[index(timer)].arm_at(at);
   }
+  /// From now on the timer re-arms itself `period` after each firing
+  /// (0: it does not).
+  void set_period(int timer, sim::Duration period) {
+    periods_[index(timer)] = period;
+  }
+  void disarm(int timer) { timers_[index(timer)].disarm(); }
   bool step() { return sim_.step(); }
+  [[nodiscard]] sim::Time now() const { return sim_.now(); }
+  [[nodiscard]] const sim::EventQueue& queue() const { return sim_.queue(); }
 
   std::vector<Firing> fired;
 
  private:
+  static std::size_t index(int timer) {
+    return static_cast<std::size_t>(timer);
+  }
+
   sim::Simulator sim_;
   std::vector<sim::Timer> timers_;  // destroyed before sim_
-  int timer_tags_[kTimers] = {};
+  std::vector<int> timer_tags_;
+  std::vector<sim::Duration> periods_;
   std::vector<sim::EventId> ids_;
 };
 
@@ -80,53 +108,84 @@ class WheelQueue {
 /// seq drawn from one counter shared by schedules and arms, so same-instant
 /// entries fire in call order.  Cancel and disarm erase the entry; a
 /// re-arm erases the pending arm and inserts a fresh key, exactly like
-/// cancel followed by schedule.
+/// cancel followed by schedule; a periodic timer's firing inserts its next
+/// arm right after it is recorded, as the timer's action does.
 class ReferenceQueue {
  public:
+  explicit ReferenceQueue(int timers)
+      : timer_keys_(static_cast<std::size_t>(timers)),
+        periods_(static_cast<std::size_t>(timers)) {}
+
   std::size_t schedule(sim::Duration delay, int tag) {
-    keys_.push_back(insert(delay, tag));
+    keys_.push_back(insert(now_ + delay, {tag, kOneShot}));
     return keys_.size() - 1;
   }
   void cancel(std::size_t handle) { pending_.erase(keys_[handle]); }
   void arm(int timer, sim::Duration delay, int tag) {
-    disarm(timer);
-    timer_keys_[timer] = insert(delay, tag);
+    arm_at_exactly(timer, now_ + delay, tag);
   }
-  void disarm(int timer) { pending_.erase(timer_keys_[timer]); }
+  void arm_at(int timer, sim::Time at, int tag) {
+    arm_at_exactly(timer, at > now_ ? at : now_, tag);  // Timer's clamp
+  }
+  void set_period(int timer, sim::Duration period) {
+    periods_[static_cast<std::size_t>(timer)] = period;
+  }
+  void disarm(int timer) {
+    pending_.erase(timer_keys_[static_cast<std::size_t>(timer)]);
+  }
   bool step() {
     if (pending_.empty()) return false;
     const auto head = pending_.begin();
     now_ = head->first.first;
-    fired.push_back({now_, head->second});
+    const Entry e = head->second;
+    fired.push_back({now_, e.tag});
     pending_.erase(head);
+    if (e.timer != kOneShot) {
+      const sim::Duration period = periods_[static_cast<std::size_t>(e.timer)];
+      if (period > 0) arm(e.timer, period, e.tag);
+    }
     return true;
   }
+  [[nodiscard]] sim::Time now() const { return now_; }
 
   std::vector<Firing> fired;
 
  private:
   using Key = std::pair<sim::Time, std::uint64_t>;  // (time, seq)
+  static constexpr int kOneShot = -1;
+  struct Entry {
+    int tag;
+    int timer;  // kOneShot for a one-shot event
+  };
 
-  Key insert(sim::Duration delay, int tag) {
-    const Key key{now_ + delay, next_seq_++};
-    pending_.emplace(key, tag);
+  void arm_at_exactly(int timer, sim::Time at, int tag) {
+    disarm(timer);
+    timer_keys_[static_cast<std::size_t>(timer)] = insert(at, {tag, timer});
+  }
+
+  Key insert(sim::Time at, Entry e) {
+    const Key key{at, next_seq_++};
+    pending_.emplace(key, e);
     return key;
   }
 
-  std::map<Key, int> pending_;
+  std::map<Key, Entry> pending_;
   std::vector<Key> keys_;  // one-shot handle -> key (erase is a no-op once
                            // fired or cancelled: seqs are never reused)
-  Key timer_keys_[kTimers] = {};
+  std::vector<Key> timer_keys_;
+  std::vector<sim::Duration> periods_;
   sim::Time now_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 
-/// Replays the seeded op stream through `Queue` and returns its firing
-/// sequence.
+constexpr int kTimers = 4;
+
+/// Replays the seeded wheel-fuzz stream through `Queue` and returns its
+/// firing sequence.
 template <typename Queue>
 std::vector<Firing> replay(std::uint64_t seed) {
   std::mt19937_64 rng(seed * 0x9E3779B9u + 17);
-  Queue q;
+  Queue q(kTimers);
   int next_tag = 0;
   std::vector<std::size_t> outstanding;
   auto horizon = [&rng]() -> double {
@@ -180,18 +239,132 @@ std::vector<Firing> replay(std::uint64_t seed) {
   return std::move(q.fired);
 }
 
+constexpr int kLaneTimers = 24;
+/// Ten distinct dyadic periods, more than the queue's lane table holds.
+constexpr sim::Duration kPeriods[] = {
+    1.0 / 1024, 3.0 / 2048, 1.0 / 512,  5.0 / 4096, 3.0 / 1024,
+    1.0 / 256,  7.0 / 4096, 5.0 / 2048, 3.0 / 512,  1.0 / 128,
+};
+constexpr std::size_t kNumPeriods = std::size(kPeriods);
+
+/// Replays the seeded lane-fuzz stream through `q` (built with
+/// kLaneTimers timers).  Every timer starts periodic on one of kPeriods
+/// (several timers per period); the stream then mixes one-shots, cancels,
+/// same-delay supersedes, delay switches, disarms, arm_at() and
+/// arm_after(0), and pops.  At the end the timers stop re-arming and the
+/// queue drains.
+template <typename Queue>
+std::vector<Firing> replay_lanes(std::uint64_t seed, Queue& q) {
+  std::mt19937_64 rng(seed * 0x51ED27u + 3);
+  int next_tag = 0;
+  std::vector<std::size_t> outstanding;
+  std::vector<sim::Duration> period(kLaneTimers);
+  auto pick_timer = [&rng] {
+    return static_cast<int>(rng() % kLaneTimers);
+  };
+  auto pick_period = [&rng] { return kPeriods[rng() % kNumPeriods]; };
+  for (int t = 0; t < kLaneTimers; ++t) {
+    const std::size_t i = static_cast<std::size_t>(t);
+    period[i] = kPeriods[i % kNumPeriods];
+    q.set_period(t, period[i]);
+    q.arm(t, period[i], next_tag++);
+  }
+
+  for (int step = 0; step < 8000; ++step) {
+    switch (rng() % 16) {
+      case 0:
+      case 1: {  // one-shot on the lanes' grid (ties), or at this instant
+        const sim::Duration d = rng() % 4 == 0 ? 0.0 : pick_period();
+        outstanding.push_back(q.schedule(d, next_tag++));
+        break;
+      }
+      case 2: {  // cancel a random outstanding one-shot
+        if (!outstanding.empty()) {
+          const std::size_t i = rng() % outstanding.size();
+          q.cancel(outstanding[i]);
+          outstanding[i] = outstanding.back();
+          outstanding.pop_back();
+        }
+        break;
+      }
+      case 3:
+      case 4: {  // supersede: re-arm with the timer's own period
+        const int t = pick_timer();
+        q.arm(t, period[static_cast<std::size_t>(t)], next_tag++);
+        break;
+      }
+      case 5: {  // switch the timer to another period
+        const int t = pick_timer();
+        period[static_cast<std::size_t>(t)] = pick_period();
+        q.set_period(t, period[static_cast<std::size_t>(t)]);
+        q.arm(t, period[static_cast<std::size_t>(t)], next_tag++);
+        break;
+      }
+      case 6: {  // disarm (until a later arm)
+        q.disarm(pick_timer());
+        break;
+      }
+      case 7: {  // absolute arm on the grid, then periodic again
+        const int t = pick_timer();
+        const sim::Time at =
+            q.now() + static_cast<double>(rng() % 64) / 4096.0;
+        q.arm_at(t, at, next_tag++);
+        break;
+      }
+      case 8: {  // fire at this very instant, behind everything pending
+        q.arm(pick_timer(), 0.0, next_tag++);
+        break;
+      }
+      default: {  // pop a burst
+        const int n = static_cast<int>(rng() % 8);
+        for (int i = 0; i < n && q.step(); ++i) {
+        }
+        break;
+      }
+    }
+  }
+  for (int t = 0; t < kLaneTimers; ++t) q.set_period(t, 0);
+  while (q.step()) {
+  }
+  return std::move(q.fired);
+}
+
+void expect_same_firings(const std::vector<Firing>& ref,
+                         const std::vector<Firing>& got,
+                         std::uint64_t seed) {
+  ASSERT_EQ(ref.size(), got.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_TRUE(ref[i] == got[i])
+        << "seed " << seed << " firing " << i << " diverged: queue ("
+        << got[i].time << ", " << got[i].tag << ") vs reference ("
+        << ref[i].time << ", " << ref[i].tag << ")";
+  }
+}
+
 TEST(EventBackendDiff, QueueFuzzFiringOrderIdentical) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const auto ref = replay<ReferenceQueue>(seed);
     const auto got = replay<WheelQueue>(seed);
     EXPECT_GT(ref.size(), 1000u);
-    ASSERT_EQ(ref.size(), got.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_TRUE(ref[i] == got[i])
-          << "seed " << seed << " firing " << i << " diverged: wheel ("
-          << got[i].time << ", " << got[i].tag << ") vs reference ("
-          << ref[i].time << ", " << ref[i].tag << ")";
-    }
+    expect_same_firings(ref, got, seed);
+  }
+}
+
+TEST(EventBackendDiff, LaneFuzzFiringOrderIdentical) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ReferenceQueue reference(kLaneTimers);
+    WheelQueue queue(kLaneTimers);
+    const auto ref = replay_lanes(seed, reference);
+    const auto got = replay_lanes(seed, queue);
+    EXPECT_GT(ref.size(), 10000u);
+    // The stream must actually drive the lanes, and the wheel beside
+    // them, or it proves nothing about the merge.
+    const double lane_share =
+        static_cast<double>(queue.queue().lane_inserts()) /
+        static_cast<double>(queue.queue().total_scheduled());
+    EXPECT_GT(lane_share, 0.5) << "seed " << seed;
+    EXPECT_LT(lane_share, 0.95) << "seed " << seed;
+    expect_same_firings(ref, got, seed);
   }
 }
 

@@ -3,11 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <vector>
 
 namespace ispn::sim {
 namespace {
+
+constexpr Time kForever = std::numeric_limits<Time>::infinity();
+
+/// Fires the earliest live event and returns its time.
+Time fire_next(EventQueue& q) {
+  EventQueue::Clock clock;
+  EXPECT_EQ(q.fire(kForever, /*inclusive=*/true, 1, clock), 1u);
+  return clock.now;
+}
+
+/// Fires events until the queue is empty.
+void drain(EventQueue& q) {
+  EventQueue::Clock clock;
+  q.fire(kForever, /*inclusive=*/true, ~std::uint64_t{0}, clock);
+}
 
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
@@ -21,7 +37,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(3.0, [&] { fired.push_back(3); });
   q.schedule(1.0, [&] { fired.push_back(1); });
   q.schedule(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -31,7 +47,7 @@ TEST(EventQueue, SameTimeFiresInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(1.0, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().action();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
@@ -45,7 +61,7 @@ TEST(EventQueue, NextTimeReportsEarliest) {
 TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
   q.schedule(4.5, [] {});
-  EXPECT_DOUBLE_EQ(q.pop().time, 4.5);
+  EXPECT_DOUBLE_EQ(fire_next(q), 4.5);
 }
 
 TEST(EventQueue, CancelPreventsFiring) {
@@ -77,7 +93,7 @@ TEST(EventQueue, CancelledEventSkippedByPop) {
   q.schedule(2.0, [&] { fired.push_back(2); });
   q.cancel(id);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  while (!q.empty()) q.pop().action();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{2}));
 }
 
@@ -88,7 +104,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
+  fire_next(q);
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -103,9 +119,9 @@ TEST(EventQueue, ManyInterleavedOperations) {
   double last = -1;
   int count = 0;
   while (!q.empty()) {
-    auto fired = q.pop();
-    EXPECT_GE(fired.time, last);
-    last = fired.time;
+    const Time t = fire_next(q);
+    EXPECT_GE(t, last);
+    last = t;
     ++count;
   }
   EXPECT_EQ(count, 50);
@@ -126,7 +142,7 @@ TEST(EventQueue, TotalScheduledCounts) {
 TEST(EventQueue, CancelAfterFireReturnsFalse) {
   EventQueue q;
   const EventId id = q.schedule(1.0, [] {});
-  q.pop().action();
+  fire_next(q);
   EXPECT_FALSE(q.cancel(id));
   EXPECT_TRUE(q.empty());
 }
@@ -134,7 +150,7 @@ TEST(EventQueue, CancelAfterFireReturnsFalse) {
 TEST(EventQueue, CancelAfterFireDoesNotKillRecycledSlot) {
   EventQueue q;
   const EventId stale = q.schedule(1.0, [] {});
-  q.pop();
+  fire_next(q);
   // The next schedule recycles the same slot; the stale id must not be
   // able to cancel it (generation mismatch).
   bool fired = false;
@@ -142,7 +158,7 @@ TEST(EventQueue, CancelAfterFireDoesNotKillRecycledSlot) {
   EXPECT_NE(stale, fresh);
   EXPECT_FALSE(q.cancel(stale));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().action();
+  fire_next(q);
   EXPECT_TRUE(fired);
 }
 
@@ -162,7 +178,7 @@ TEST(EventQueue, SlotsAreRecycled) {
     const EventId a = q.schedule(1.0, [] {});
     q.schedule(2.0, [] {});
     q.cancel(a);
-    q.pop();
+    fire_next(q);
   }
   // A wheel of at most 2 concurrent events must not grow the slab beyond
   // a couple of slots — this is the no-leak property.
@@ -194,7 +210,7 @@ TEST(EventQueue, LargeCapturesFireCorrectly) {
   big.payload[7] = 3.5;
   double got = 0;
   q.schedule(1.0, [big, &got] { got = big.payload[7]; });
-  q.pop().action();
+  fire_next(q);
   EXPECT_DOUBLE_EQ(got, 3.5);
 }
 
@@ -224,7 +240,7 @@ TEST(EventQueue, PopsInTimeThenFifoOrder) {
   q.schedule(1.0, [&] { fired.push_back(11); });  // same time: FIFO
   q.schedule(2.0, [&] { fired.push_back(20); });
   q.schedule(1.0, [&] { fired.push_back(12); });
-  while (!q.empty()) q.pop().action();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{10, 11, 12, 20, 30}));
 }
 
@@ -237,7 +253,7 @@ TEST(EventQueue, SubTickCoincidencesStayExactlyOrdered) {
   q.schedule(1.0 + 1e-9, [&] { fired.push_back(1); });
   q.schedule(1.0 + 2e-9, [&] { fired.push_back(2); });
   q.schedule(1.0, [&] { fired.push_back(0); });
-  while (!q.empty()) q.pop().action();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -253,11 +269,11 @@ TEST(EventQueue, ScheduleDuringPopAtSameInstantFiresInOrder) {
   });
   q.schedule(1.0, [&] { fired.push_back(2); });
   q.schedule(2.0, [&] { fired.push_back(4); });
-  while (!q.empty()) q.pop().action();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
 }
 
-// Satellite: next_time()/pop() must advance cleanly over large bands of
+// next_time()/fire() must advance cleanly over large bands of
 // stale keys left by cancel bursts (the port retry pattern at scale).
 TEST(EventQueue, StaleKeyAdvanceAfterHeavyCancelBursts) {
   EventQueue q;
@@ -280,9 +296,7 @@ TEST(EventQueue, StaleKeyAdvanceAfterHeavyCancelBursts) {
   int expected = 0;
   while (!q.empty()) {
     const Time t = q.next_time();
-    auto f = q.pop();
-    EXPECT_DOUBLE_EQ(f.time, t);
-    f.action();
+    EXPECT_DOUBLE_EQ(fire_next(q), t);
     EXPECT_EQ(fired.back(), expected);
     expected += 10;
   }
@@ -291,7 +305,7 @@ TEST(EventQueue, StaleKeyAdvanceAfterHeavyCancelBursts) {
   EXPECT_EQ(q.free_slots(), q.slab_slots());
 }
 
-// Satellite: cancel() on an already-fired id must return false and never
+// cancel() on an already-fired id must return false and never
 // touch a recycled slot, even after the slot has cycled through many
 // generations (the 32-bit generation makes an accidental match need 2^32
 // reuses; this pins the mechanism across a dense slice of them).
@@ -310,7 +324,7 @@ TEST(EventQueue, StaleIdsNeverCancelAcrossGenerations) {
       EXPECT_FALSE(q.cancel(previous));
       EXPECT_FALSE(q.cancel(first));
     }
-    q.pop();
+    fire_next(q);
     EXPECT_FALSE(q.cancel(id));  // cancel-after-fire
     previous = id;
   }
@@ -335,7 +349,7 @@ TEST(EventQueue, CancelBurstThenRefillReusesSlots) {
       }
     }
     EXPECT_EQ(q.size(), live);
-    while (!q.empty()) q.pop();
+    drain(q);
   }
   // Slab bounded by one wave's peak, not the 4000 events scheduled.
   EXPECT_LE(q.slab_slots(), 256u);
@@ -357,12 +371,12 @@ TEST(EventQueueWheelAdapt, SameInstantPileUpEscalatesResolution) {
   EXPECT_EQ(q.ticks_per_sec(), base);
   // The first pop sorts the giant window; the next insert sees the
   // crowded-run evidence and escalates.
-  Time prev = q.pop().time;
+  Time prev = fire_next(q);
   q.schedule(1.0 + 1e-9 * kN, [] {});
   EXPECT_GT(q.ticks_per_sec(), base);
   // Pop order stays exact (time, seq) across the re-filing.
   while (!q.empty()) {
-    const Time t = q.pop().time;
+    const Time t = fire_next(q);
     EXPECT_LT(prev, t);
     prev = t;
   }
@@ -377,7 +391,7 @@ TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
   for (int i = 0; i < kN; ++i) q.schedule(1.0 + 1e-4 * i, [] {});
   Time prev = 0;
   for (int i = 0; i < 10000; ++i) {
-    const Time t = q.pop().time;
+    const Time t = fire_next(q);
     EXPECT_LT(prev, t);
     prev = t;
   }
@@ -385,7 +399,7 @@ TEST(EventQueueWheelAdapt, SpreadOutLoadKeepsBaseResolution) {
   for (int i = 0; i < 1000; ++i) q.schedule(1.0 + 1e-4 * (kN + i), [] {});
   EXPECT_EQ(q.ticks_per_sec(), base);
   while (!q.empty()) {
-    const Time t = q.pop().time;
+    const Time t = fire_next(q);
     EXPECT_LT(prev, t);
     prev = t;
   }

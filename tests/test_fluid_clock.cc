@@ -1,6 +1,6 @@
 // The shared fluid GPS clock (sched/fluid_clock.h): exact piecewise-linear
-// V(t), departure-epoch iteration, and the flow-0 weight policy knob that
-// used to be an implicit divergence between wfq.cc and unified.cc.
+// V(t), departure-epoch iteration, and flow 0 kept beside the heap (its
+// in-place re-weighting and its place first at a shared departure epoch).
 
 #include "sched/fluid_clock.h"
 
@@ -79,34 +79,55 @@ TEST(FluidClock, StampStartsAtMaxOfVtimeAndLastFinish) {
   EXPECT_DOUBLE_EQ(f3, 3.0);  // V froze at 2.0
 }
 
-// The tested divergence: what happens to the V(t) slope when a backlogged
-// flow is re-weighted.  kTracked (unified's flow 0) changes the slope
-// immediately; kPinned (WFQ flows) keeps the arrival-time weight.
-TEST(FluidClock, Flow0PolicyDivergence) {
-  FluidClock tracked(1000.0, FluidClock::Flow0Policy::kTracked);
-  FluidClock pinned(1000.0, FluidClock::Flow0Policy::kPinned);
-  for (FluidClock* clock : {&tracked, &pinned}) {
-    clock->advance(0.0);
-    EXPECT_DOUBLE_EQ(clock->stamp(0, 0.0, 1000.0, 500.0, 1.0 / 500.0), 2.0);
-    clock->reweight(0, 1000.0);  // flow 0 doubles its clock rate
-    clock->advance(0.5);
-  }
-  // Tracked: slope drops to 1000/1000 = 1 → V(0.5) = 0.5.
-  EXPECT_DOUBLE_EQ(tracked.vtime(), 0.5);
-  EXPECT_DOUBLE_EQ(tracked.active_weight(), 1000.0);
-  // Pinned: slope stays 1000/500 = 2 → V(0.5) = 1.0.
-  EXPECT_DOUBLE_EQ(pinned.vtime(), 1.0);
-  EXPECT_DOUBLE_EQ(pinned.active_weight(), 500.0);
+// Re-weighting backlogged flow 0 (unified's μ − Σ r_α changing under
+// admission) changes the V(t) slope from that instant.
+TEST(FluidClock, Flow0ReweightChangesSlopeImmediately) {
+  FluidClock clock(1000.0);
+  clock.advance(0.0);
+  EXPECT_DOUBLE_EQ(clock.stamp_flow0(0.0, 1000.0, 500.0, 1.0 / 500.0), 2.0);
+  EXPECT_TRUE(clock.flow0_backlogged());
+  clock.reweight_flow0(1000.0);  // flow 0 doubles its clock rate
+  clock.advance(0.5);
+  // Slope drops from 1000/500 = 2 to 1000/1000 = 1 → V(0.5) = 0.5.
+  EXPECT_DOUBLE_EQ(clock.vtime(), 0.5);
+  EXPECT_DOUBLE_EQ(clock.active_weight(), 1000.0);
 }
 
-TEST(FluidClock, ReweightOfIdleFlowIsNoOp) {
-  FluidClock clock(1000.0, FluidClock::Flow0Policy::kTracked);
-  clock.reweight(0, 750.0);
+TEST(FluidClock, ReweightOfIdleFlow0IsNoOp) {
+  FluidClock clock(1000.0);
+  clock.reweight_flow0(750.0);
   EXPECT_DOUBLE_EQ(clock.active_weight(), 0.0);
   // The next stamp carries whatever weight the caller passes.
   clock.advance(0.0);
-  clock.stamp(0, 0.0, 1000.0, 250.0, 1.0 / 250.0);
+  clock.stamp_flow0(0.0, 1000.0, 250.0, 1.0 / 250.0);
   EXPECT_DOUBLE_EQ(clock.active_weight(), 250.0);
+}
+
+// Flow 0 and heap flow 1 share a departure epoch while flow 2 stays
+// backlogged.  Flow 0's weight leaves the sum first — its place as id 0
+// when it lived in the heap — and the weights are chosen so the other
+// order rounds differently, so the sum is checked bit for bit.
+TEST(FluidClock, SharedDepartureEpochSubtractsFlow0First) {
+  const double w0 = 0.3;
+  const double w1 = 2 * w0;  // 1/w1 == (1/w0)/2 exactly: equal tags below
+  const double w2 = 0.1;
+  FluidClock clock(1.0);
+  clock.advance(0.0);
+  const double f0 = clock.stamp_flow0(0.0, 1.0, w0, 1.0 / w0);
+  const double f1 = clock.stamp(1, 0.0, 2.0, w1, 1.0 / w1);
+  const double f2 = clock.stamp(2, 0.0, 1.0, w2, 1.0 / w2);
+  ASSERT_EQ(f0, f1);
+  ASSERT_LT(f1, f2);
+  const double sum = (w0 + w1) + w2;  // stamping order
+  const double flow0_first = (sum - w0) - w1;
+  ASSERT_NE(flow0_first, (sum - w1) - w0);  // the order is observable
+
+  // The shared epoch is at t ~ 3.33 and flow 2 departs at t ~ 4.
+  clock.advance(3.5);
+  EXPECT_FALSE(clock.flow0_backlogged());
+  EXPECT_FALSE(clock.backlogged(1));
+  EXPECT_TRUE(clock.backlogged(2));
+  EXPECT_EQ(clock.active_weight(), flow0_first);
 }
 
 TEST(FluidClock, RetireRemovesBackloggedFlow) {
