@@ -50,7 +50,9 @@ void EventQueue::escalate_resolution() {
     const Key* w = wheel_.peek_ready();
     if (w == nullptr && !wheel_.empty()) {
       // Peek no further than the lane winner's tick, so the wheel's cursor
-      // never runs ahead of the clock (see TimingWheel::peek_until).
+      // never runs past the next event (see TimingWheel::peek_until).  It
+      // may still stand ahead of the clock after next_time() or a slice
+      // that fired nothing; keys filed behind it stay visible.
       w = wheel_.peek_until(lane < kLanes ? tick_of(time_of(best))
                                           : stop_tick);
     }

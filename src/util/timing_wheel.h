@@ -33,8 +33,13 @@
 //     cascade relinks combined.
 //
 // Entries scheduled at a tick already passed by the cursor clamp into the
-// active run: they sort by the exact comparator against whatever is still
-// pending, which is exactly where a heap would surface them.
+// active run, or into the cursor's own bucket when no run is active: they
+// sort by the exact comparator against whatever is still pending, which is
+// exactly where a heap would surface them.  The cursor may stand ahead of
+// the caller's clock (a bounded peek can cascade up to its limit without
+// finding an entry), so a clamped entry can precede a later peek's limit
+// while its bucket does not: a peek therefore pulls the cursor's own
+// bucket whatever its limit.
 //
 // Ticks beyond the wheel's span (64^kLevels from the cursor — days of
 // simulated time at the event core's resolution; in practice only
@@ -110,7 +115,8 @@ class TimingWheel {
   [[nodiscard]] std::size_t max_run_length() const { return max_run_; }
 
   /// Inserts `k` at `tick`.  Ticks behind the cursor clamp into the active
-  /// run (the "next to pop" region, matching heap behaviour).
+  /// run or the cursor's bucket (the "next to pop" region, matching heap
+  /// behaviour).
   ///
   /// Only inserts at the run's own tick (same-instant schedules from a
   /// firing event) binary-place into the sorted run — O(1) at the tail,
@@ -132,10 +138,9 @@ class TimingWheel {
       return;
     }
     const std::uint32_t n = acquire_node();
-    const Tick at = tick < cursor_ ? cursor_ : tick;
-    meta_[n].tick = at;
+    meta_[n].tick = tick < cursor_ ? cursor_ : tick;
     keys_[n] = k;
-    floor_ = std::min(floor_, at);
+    floor_ = std::min(floor_, tick);  // unclamped: see advance_until()
     link(n);
   }
 
@@ -149,15 +154,16 @@ class TimingWheel {
     return i < run_.size() ? &run_[i] : nullptr;
   }
 
-  /// Earliest entry by (tick, Less) if its tick is at most `limit` (an
-  /// entry already in the sorted run is returned whatever its tick), else
-  /// nullptr.  Advances the cursor and cascades higher levels as a side
-  /// effect (ordering-internal mutation only, same contract as a heap's
-  /// lazy sift), but never past `limit`: a caller merging the wheel with
-  /// other ordered sources bounds the peek by their head's tick, because a
-  /// cursor run ahead of the caller's clock would send every nearer insert
-  /// into the sorted run.  The earliest tick found beyond `limit` is kept
-  /// as a floor, so repeated peeks below it cost one compare.
+  /// Earliest entry by (tick, Less) if its tick is at most `limit`, else
+  /// nullptr; an entry already in the sorted run or in the cursor's own
+  /// bucket is returned whatever its tick.  Advances the cursor and
+  /// cascades higher levels as a side effect (ordering-internal mutation
+  /// only, same contract as a heap's lazy sift), but never past `limit`: a
+  /// caller merging the wheel with other ordered sources bounds the peek
+  /// by their head's tick, because a cursor run ahead of the caller's
+  /// clock would send every nearer insert into the sorted run.  The
+  /// earliest tick found beyond `limit` is kept as a floor, so repeated
+  /// peeks below it cost one compare.
   [[nodiscard]] const K* peek_until(Tick limit) {
     if (head_ < run_.size()) return &run_[head_];
     if (count_ == 0 || limit < floor_) return nullptr;
@@ -268,7 +274,11 @@ class TimingWheel {
           find_occupied(0, static_cast<unsigned>(cursor_ & kSlotMask));
       if (b >= 0) {
         const Tick tick = (cursor_ & ~kSlotMask) | static_cast<Tick>(b);
-        if (tick > limit) {
+        // The cursor's own bucket is pulled whatever the limit: it holds
+        // the entries filed behind the cursor, whose true ticks the floor
+        // kept and which may precede `limit`.  Any other bucket holds
+        // only entries at its own tick.
+        if (tick > limit && tick != cursor_) {
           floor_ = tick;
           return nullptr;
         }
@@ -419,7 +429,8 @@ class TimingWheel {
   std::vector<std::uint32_t> free_;
   std::vector<K> run_;  ///< sorted entries of the active level-0 window
   Tick cursor_ = 0;
-  Tick floor_ = 0;  ///< no bucketed or overflow entry has a smaller tick
+  Tick floor_ = 0;  ///< no bucketed or overflow entry was inserted at a
+                    ///< smaller tick (clamping may have filed it later)
   Tick run_limit_ = 0;  ///< first tick past the active window
   std::size_t head_ = 0;  ///< consumed prefix of the run
   bool run_active_ = false;

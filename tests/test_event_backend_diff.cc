@@ -24,9 +24,12 @@
 //     delays than there are lanes, re-arming themselves with arm_after()
 //     from their own action (the periodic source pattern), mixed with
 //     supersedes of a pending arm by the same delay, delay switches,
-//     disarms, arm_at(), arm_after(0), one-shot schedule/cancel, and
-//     pops.  Dyadic delays keep every sum exact, so arms from different
-//     lanes and the wheel keep landing on the same instant.
+//     disarms, arm_at(), arm_after(0), one-shot schedule/cancel, pops,
+//     next-time peeks and run_until()/run_before() slices (a peek or a
+//     slice may advance the wheel's cursor ahead of the clock, and later
+//     schedules must still fire in order).  Dyadic delays keep every sum
+//     exact, so arms from different lanes and the wheel keep landing on
+//     the same instant.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,12 @@ class WheelQueue {
   }
   void disarm(int timer) { timers_[index(timer)].disarm(); }
   bool step() { return sim_.step(); }
+  void run_until(sim::Time end) { sim_.run_until(end); }
+  void run_before(sim::Time end) { sim_.run_before(end); }
+  /// The next event's time, or -1 when none is pending.
+  [[nodiscard]] sim::Time next_time() const {
+    return sim_.idle() ? -1.0 : sim_.queue().next_time();
+  }
   [[nodiscard]] sim::Time now() const { return sim_.now(); }
   [[nodiscard]] const sim::EventQueue& queue() const { return sim_.queue(); }
 
@@ -145,6 +154,16 @@ class ReferenceQueue {
       if (period > 0) arm(e.timer, period, e.tag);
     }
     return true;
+  }
+  void run_until(sim::Time end) {
+    while (!pending_.empty() && pending_.begin()->first.first <= end) step();
+    if (end > now_) now_ = end;
+  }
+  void run_before(sim::Time end) {
+    while (!pending_.empty() && pending_.begin()->first.first < end) step();
+  }
+  [[nodiscard]] sim::Time next_time() const {
+    return pending_.empty() ? -1.0 : pending_.begin()->first.first;
   }
   [[nodiscard]] sim::Time now() const { return now_; }
 
@@ -247,12 +266,18 @@ constexpr sim::Duration kPeriods[] = {
 };
 constexpr std::size_t kNumPeriods = std::size(kPeriods);
 
+/// Tags of the records the lane fuzz interleaves with firings: a
+/// next_time() peek's answer, and the clock after a run slice.
+constexpr int kPeekTag = -1;
+constexpr int kSliceTag = -2;
+
 /// Replays the seeded lane-fuzz stream through `q` (built with
 /// kLaneTimers timers).  Every timer starts periodic on one of kPeriods
 /// (several timers per period); the stream then mixes one-shots, cancels,
 /// same-delay supersedes, delay switches, disarms, arm_at() and
-/// arm_after(0), and pops.  At the end the timers stop re-arming and the
-/// queue drains.
+/// arm_after(0), pops, next_time() peeks, and run_until()/run_before()
+/// slices to a nearby horizon.  At the end the timers stop re-arming and
+/// the queue drains.
 template <typename Queue>
 std::vector<Firing> replay_lanes(std::uint64_t seed, Queue& q) {
   std::mt19937_64 rng(seed * 0x51ED27u + 3);
@@ -315,6 +340,23 @@ std::vector<Firing> replay_lanes(std::uint64_t seed, Queue& q) {
         q.arm(pick_timer(), 0.0, next_tag++);
         break;
       }
+      case 9: {  // peek at the next event (the sharded engine's min_next)
+        q.fired.push_back({q.next_time(), kPeekTag});
+        break;
+      }
+      case 10: {  // run a slice to a nearby horizon, inclusive or not
+        // Half the horizons fall within a few wheel ticks, below where a
+        // peek may have moved the wheel's cursor.
+        const double unit = rng() % 2 == 0 ? 1.0 / 8192 : 1.0 / 262144;
+        const sim::Time end = q.now() + static_cast<double>(rng() % 48) * unit;
+        if (rng() % 2 == 0) {
+          q.run_until(end);
+        } else {
+          q.run_before(end);
+        }
+        q.fired.push_back({q.now(), kSliceTag});
+        break;
+      }
       default: {  // pop a burst
         const int n = static_cast<int>(rng() % 8);
         for (int i = 0; i < n && q.step(); ++i) {
@@ -332,13 +374,13 @@ std::vector<Firing> replay_lanes(std::uint64_t seed, Queue& q) {
 void expect_same_firings(const std::vector<Firing>& ref,
                          const std::vector<Firing>& got,
                          std::uint64_t seed) {
-  ASSERT_EQ(ref.size(), got.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
+  for (std::size_t i = 0; i < ref.size() && i < got.size(); ++i) {
     ASSERT_TRUE(ref[i] == got[i])
         << "seed " << seed << " firing " << i << " diverged: queue ("
         << got[i].time << ", " << got[i].tag << ") vs reference ("
         << ref[i].time << ", " << ref[i].tag << ")";
   }
+  ASSERT_EQ(ref.size(), got.size()) << "seed " << seed;
 }
 
 TEST(EventBackendDiff, QueueFuzzFiringOrderIdentical) {
@@ -366,6 +408,42 @@ TEST(EventBackendDiff, LaneFuzzFiringOrderIdentical) {
     EXPECT_LT(lane_share, 0.95) << "seed " << seed;
     expect_same_firings(ref, got, seed);
   }
+}
+
+// A peek bounded by a lane head may move the wheel's cursor up to that
+// head's tick, ahead of the clock.  A key filed afterwards behind the
+// cursor lands in the cursor's bucket; it must still fire first, and a
+// slice whose horizon lies below the cursor must not miss it.
+TEST(EventBackendDiff, ScheduleBehindPeekedCursorFiresInOrder) {
+  sim::Simulator sim;
+  std::vector<Firing> fired;
+  sim::Timer a(sim, [&] { fired.push_back({sim.now(), 0}); });
+  a.arm_after(10.0);
+  a.arm_after(10.0);  // the previous delay: this key goes to a lane
+  ASSERT_EQ(sim.queue().lane_inserts(), 1u);
+  sim.at(10.0001, [&] { fired.push_back({sim.now(), 1}); });
+  EXPECT_EQ(sim.queue().next_time(), 10.0);
+  sim.at(5.0, [&] { fired.push_back({sim.now(), 2}); });
+  EXPECT_EQ(sim.run_until(7.0), 1u);
+  sim.run_until(20.0);
+  const std::vector<Firing> want = {{5.0, 2}, {10.0, 0}, {10.0001, 1}};
+  EXPECT_TRUE(fired == want);
+}
+
+// The same through run_before(): a slice that fires nothing may still
+// move the cursor up to its horizon's tick while the clock stays put.
+TEST(EventBackendDiff, ScheduleBehindSliceCursorFiresInOrder) {
+  sim::Simulator sim;
+  std::vector<Firing> fired;
+  sim.at(10.0001, [&] { fired.push_back({sim.now(), 1}); });
+  EXPECT_EQ(sim.run_before(10.00001), 0u);
+  EXPECT_EQ(sim.now(), 0.0);
+  sim.at(5.0, [&] { fired.push_back({sim.now(), 2}); });
+  EXPECT_EQ(sim.run_before(6.0), 1u);
+  EXPECT_EQ(sim.now(), 5.0);
+  sim.run_until(20.0);
+  const std::vector<Firing> want = {{5.0, 2}, {10.0001, 1}};
+  EXPECT_TRUE(fired == want);
 }
 
 }  // namespace
