@@ -2,7 +2,7 @@
 # Local pre-push gate / CI entry point: configure + build + ctest + a
 # scenario smoke + a malformed-input gate on the scenario CLI + one short
 # run of every paper bench and example + the bench_ispn smoke + one
-# sampled layer profile.
+# sampled layer profile + one live-heap census.
 # Usage: scripts/check.sh [build-dir]
 #
 # The bench and example runs only catch crashes and non-zero exits; the
@@ -116,6 +116,16 @@ profile=$(scripts/profile.sh fanin-cbr --scale 0.05)
 if ! grep -q '^sim ' <<<"$profile"; then
   echo "$profile" >&2
   echo "scripts/profile.sh: no sim row" >&2
+  exit 1
+fi
+
+echo "== heap census smoke =="
+# The live-heap census on a short parking-lot run: the operator new
+# interposer must build, see the run's blocks and name their call sites.
+heap=$(scripts/heap.sh parking-mix --scale 0.05 2>/dev/null)
+if ! grep -q 'ScenarioRunner' <<<"$heap"; then
+  echo "$heap" >&2
+  echo "scripts/heap.sh: no scenario call site" >&2
   exit 1
 fi
 

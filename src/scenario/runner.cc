@@ -396,8 +396,9 @@ void ScenarioRunner::schedule_audit() {
 
 template <class Ledger>
 void ScenarioRunner::add_flow_buckets(Ledger& out) {
-  for (const FlowRec& rec : flows_) {
-    const net::FlowStats& st = net().stats(rec.handle.spec.flow);
+  // Every admitted flow has an entry (attach_source creates it); a
+  // rejected flow has none, and its buckets would all be zero.
+  for (const auto& [flow, st] : net().all_stats()) {
     out.generated += st.generated;
     out.source_drops += st.source_drops;
     out.injected += st.injected;
@@ -512,10 +513,7 @@ void ScenarioRunner::reoffer_flow(net::FlowId flow) {
     case core::IspnNetwork::RerouteOutcome::kClosed:
     case core::IspnNetwork::RerouteOutcome::kOrphaned:
       rec.source->stop();
-      rec.active = false;
-      rec.closed = now;
-      --open_count_;
-      active_.erase(std::find(active_.begin(), active_.end(), flow));
+      close_rec(flow);
       if (outcome == core::IspnNetwork::RerouteOutcome::kClosed) {
         ++report_.flows_preempted;
         d.kind = AdmissionDecision::Kind::kPreempted;
@@ -542,6 +540,7 @@ void ScenarioRunner::bump_epoch(FlowRec& rec) {
 
 void ScenarioRunner::on_arrival() {
   if (halted_) return;  // finish() ended the workload; drain only
+  retire_idle();
   if (open_count_ < spec_.target_flows) {
     const core::FlowSpec fs = draw_spec();
     open_flow(fs, 0.0);
@@ -668,9 +667,6 @@ bool ScenarioRunner::preempt_on(core::LinkId link) {
 
     cand.source->stop();
     ispn_.close_flow(cand.handle);
-    cand.active = false;
-    cand.closed = net().sim().now();
-    --open_count_;
     ++report_.flows_preempted;
     AdmissionDecision d;
     d.time = net().sim().now();
@@ -678,7 +674,7 @@ bool ScenarioRunner::preempt_on(core::LinkId link) {
     d.service = cand.handle.spec.service;
     d.kind = AdmissionDecision::Kind::kPreempted;
     report_.decisions.push_back(d);
-    active_.erase(std::next(it).base());
+    close_rec(d.flow);
     return true;
   }
   return false;
@@ -840,10 +836,42 @@ void ScenarioRunner::try_close(net::FlowId flow) {
     }
   }
   ispn_.close_flow(rec.handle);
+  close_rec(flow);
+}
+
+void ScenarioRunner::close_rec(net::FlowId flow) {
+  FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
   rec.active = false;
   rec.closed = net().sim().now();
   --open_count_;
   active_.erase(std::find(active_.begin(), active_.end(), flow));
+  retiring_.push_back(flow);
+  retire_idle();
+}
+
+void ScenarioRunner::retire_idle() {
+  std::erase_if(retiring_, [this](net::FlowId flow) {
+    FlowRec& rec = flows_[static_cast<std::size_t>(flow)];
+    if (!rec.source->idle()) return false;
+    if (rec.tcp != nullptr) {
+      count_tcp(*rec.tcp);
+      rec.ack_sink->detach();
+      rec.tcp = nullptr;
+    }
+    rec.source.reset();
+    return true;
+  });
+}
+
+void ScenarioRunner::count_tcp(const traffic::TcpSource& tcp) {
+  ++report_.cc_flows;
+  report_.tcp_segments += tcp.sent_segments();
+  report_.tcp_delivered += tcp.delivered();
+  report_.tcp_retransmits += tcp.retransmits();
+  report_.tcp_timeouts += tcp.timeouts();
+  report_.tcp_reorder_timeouts += tcp.reorder_timeouts();
+  report_.cc_echoes += tcp.echoes_received();
+  report_.cc_backoffs += tcp.fb_backoffs();
 }
 
 void ScenarioRunner::stop_all() {
@@ -920,6 +948,7 @@ ScenarioReport ScenarioRunner::finish() {
     }
   }
 
+  retire_idle();
   report_.spec_summary = spec_.describe();
   report_.end_time = net().sim().now();
   report_.events = events_processed();
@@ -954,17 +983,7 @@ ScenarioReport ScenarioRunner::finish() {
     out.path_epochs = rec.epochs_seen;
     out.max_delay_all = rec.max_delay_all;
     report_.flows.push_back(out);
-
-    if (rec.tcp != nullptr) {
-      ++report_.cc_flows;
-      report_.tcp_segments += rec.tcp->sent_segments();
-      report_.tcp_delivered += rec.tcp->delivered();
-      report_.tcp_retransmits += rec.tcp->retransmits();
-      report_.tcp_timeouts += rec.tcp->timeouts();
-      report_.tcp_reorder_timeouts += rec.tcp->reorder_timeouts();
-      report_.cc_echoes += rec.tcp->echoes_received();
-      report_.cc_backoffs += rec.tcp->fb_backoffs();
-    }
+    if (rec.tcp != nullptr) count_tcp(*rec.tcp);  // not retired
   }
   report_.flows_offered = flows_.size();
   report_.delivered = delivered();

@@ -153,8 +153,13 @@ class ScenarioRunner {
     AckSink(DomainAgg* agg, net::FlowSink* next) : agg_(agg), next_(next) {}
     void on_packet(net::PacketPtr p, sim::Time now) override {
       ++agg_->delivered;
-      next_->on_packet(std::move(p), now);
+      if (next_ != nullptr) next_->on_packet(std::move(p), now);
     }
+    /// Detaches the transport once its source is retired: later ACKs are
+    /// counted and dropped unread, as the stopped source dropped them.
+    /// Called at a barrier (the sink runs on the source host's domain
+    /// thread).
+    void detach() { next_ = nullptr; }
 
    private:
     DomainAgg* agg_;
@@ -163,6 +168,7 @@ class ScenarioRunner {
 
   struct FlowRec {
     core::IspnNetwork::FlowHandle handle;
+    /// Null once the flow closed and retire_idle() freed it.
     std::unique_ptr<traffic::Source> source;
     // The sink is embedded (not heap-allocated) and kept adjacent to the
     // per-delivery tallies it updates: warming the sink object — the
@@ -173,8 +179,9 @@ class ScenarioRunner {
     // so the self-referential sink is safe.
     std::optional<Sink> sink;
     // Responsive (cc != off) datagram flows: the transport pair.  `tcp`
-    // aliases `source` (owned there); the TcpSink lives on the destination
-    // host's domain clock and feeds ACKs back through `ack_sink`.
+    // aliases `source` (owned there; both null once retired); the TcpSink
+    // lives on the destination host's domain clock and feeds ACKs back
+    // through `ack_sink`.
     traffic::TcpSource* tcp = nullptr;
     std::unique_ptr<traffic::TcpSink> tcp_sink;
     std::optional<AckSink> ack_sink;
@@ -278,6 +285,17 @@ class ScenarioRunner {
   void bump_epoch(FlowRec& rec);
   void depart_later(net::FlowId flow);
   void try_close(net::FlowId flow);
+  /// Marks a flow closed at `now` and queues its source for retirement.
+  void close_rec(net::FlowId flow);
+  /// Frees the source of every closed flow on retiring_ that is idle: its
+  /// start event has fired and no timer of it is pending, so no event can
+  /// reach it.  A TcpSource's counters go to the report first and its
+  /// ACK sink is detached.  The flow's record, sinks and stats
+  /// stay, so stragglers still count; no event is added or removed.
+  void retire_idle();
+  /// Adds one TcpSource's counters (and the flow) to the report's
+  /// responsive section.
+  void count_tcp(const traffic::TcpSource& tcp);
   void stop_all();
   [[nodiscard]] std::uint64_t queued_now();
   /// Quantizes a control-event time onto the window grid (identity on the
@@ -301,6 +319,8 @@ class ScenarioRunner {
   int open_count_ = 0;
   std::deque<FlowRec> flows_;          ///< indexed by FlowId; stable refs
   std::vector<net::FlowId> active_;    ///< open order (preemption scans back)
+  /// Closed flows whose source still has a pending event (retire_idle()).
+  std::vector<net::FlowId> retiring_;
   /// One per domain (one total on the classic path); sized once in
   /// prepare() — deque, so Sink pointers into it stay stable.
   std::deque<DomainAgg> aggs_;

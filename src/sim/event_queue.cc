@@ -65,15 +65,25 @@ void EventQueue::escalate_resolution() {
     } else {
       return nullptr;
     }
-    if (key_live(*k)) {
+    Slot& s = slots_[k->slot];
+    const bool live = s.live && s.gen == k->gen;
+    if (live && !s.deferred) {
       from = lane;
       return k;
     }
-    // Fired, cancelled or superseded since it was filed.
+    // Fired, cancelled or superseded since it was filed, or a carrier.
+    const std::uint32_t slot = k->slot;
     if (lane < kLanes) {
       pop_lane(lane);
     } else {
       wheel_.drop_front();
+    }
+    if (live) {
+      // The deferred arm orders after the carrier, so nothing that fired
+      // before now could have followed it: file it.
+      s.deferred = false;
+      const Deferral& d = deferrals_[slot];
+      push_key(Key{d.at, d.seq, slot, s.gen});
     }
   }
 }
@@ -171,9 +181,24 @@ void EventQueue::destroy_timer(TimerSlot t) {
   release_slot(t);
 }
 
-void EventQueue::arm_timer(TimerSlot t, Time at) {
+void EventQueue::arm_timer(TimerSlot t, Time at, Time prev) {
   assert(t < slots_.size() && slots_[t].persistent);
   Slot& s = slots_[t];
+  if (s.live) {
+    const Time filed = s.deferred ? deferrals_[t].carrier : prev;
+    if (filed <= at) {
+      if (deferrals_.empty()) deferrals_.resize(slots_.capacity());
+      Deferral& d = deferrals_[t];
+      if (!s.deferred) {
+        s.deferred = true;
+        d.carrier = filed;
+      }
+      d.at = at;
+      d.seq = next_seq_++;
+      ++deferred_arms_;
+      return;
+    }
+  }
   const std::uint32_t gen = supersede(s);
   push_key(Key{at, next_seq_++, t, gen});
 }
@@ -198,6 +223,7 @@ bool EventQueue::disarm_timer(TimerSlot t) {
   Slot& s = slots_[t];
   if (!s.live) return false;
   s.live = false;
+  s.deferred = false;
   ++s.gen;  // pending key goes stale
   --live_;
   return true;

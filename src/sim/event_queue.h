@@ -41,6 +41,14 @@
 //     the lane heads; keys compare as one 128-bit integer (time bits,
 //     seq), exact because a non-negative double's bit pattern orders like
 //     its value.
+//   * A timer re-armed while pending, for no earlier than the key it has
+//     on file, keeps that key (the carrier) and only records the new
+//     (time, seq), consuming the seq as any arm does.  When the carrier
+//     surfaces at the head it is dropped and the recorded key filed in
+//     its place: nothing can fire between the two, since the carrier
+//     orders first, so firing order is unchanged, while an RTO pushed
+//     back on every ACK costs one wheel key per expiry instead of one per
+//     re-arm.  Lane re-arms, disarms and destruction cancel the deferral.
 //   * fire() is the one dispatch loop: it skims stale keys and runs each
 //     event in place — a persistent timer through its Timer-owned action,
 //     a one-shot after moving its action out of the retired slot.
@@ -147,21 +155,26 @@ class EventQueue {
   void destroy_timer(TimerSlot t);
 
   /// (Re-)arms the timer for absolute time `at`.  A pending arm is
-  /// superseded atomically (generation bump); no cancel round-trip.
-  void arm_timer(TimerSlot t, Time at);
+  /// superseded atomically, with no cancel round-trip: when the key on
+  /// file is no later than `at` it stays filed and this arm is deferred
+  /// behind it, else a new key is filed and the old one goes stale
+  /// (generation bump).  `prev` is the time of the pending arm, read only
+  /// while one is pending.
+  void arm_timer(TimerSlot t, Time at, Time prev);
 
   /// arm_timer() for `at` = now + `delay`, where `delay` repeats the
   /// timer's previous relative arm: the key joins `delay`'s lane when one
-  /// serves it or can be claimed, else the wheel.  Precondition: `at` is
-  /// the caller's clock plus `delay`, and that clock never runs backwards.
-  void rearm_timer(TimerSlot t, Time at, Duration delay) {
+  /// serves it or can be claimed, else arm_timer() takes it.
+  /// Precondition: `at` is the caller's clock plus `delay`, and that clock
+  /// never runs backwards.
+  void rearm_timer(TimerSlot t, Time at, Duration delay, Time prev) {
     assert(t < slots_.size() && slots_[t].persistent);
     Slot& s = slots_[t];
     std::uint8_t i = s.lane;
     if (i >= lanes_used_ || lanes_[i].delay != delay) {
       i = claim_lane(s, delay);
       if (i == kLanes) {
-        arm_timer(t, at);
+        arm_timer(t, at, prev);
         return;
       }
     }
@@ -200,6 +213,10 @@ class EventQueue {
   /// (diagnostic; lane_inserts() / total_scheduled() is the lane share).
   [[nodiscard]] std::uint64_t lane_inserts() const { return lane_inserts_; }
 
+  /// Timer arms deferred behind the key already on file instead of filing
+  /// a key of their own (diagnostic).
+  [[nodiscard]] std::uint64_t deferred_arms() const { return deferred_arms_; }
+
   /// Slab capacity / recycled-slot count (diagnostics; tests pin slot
   /// reuse and leak-freedom through these).
   [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
@@ -225,6 +242,14 @@ class EventQueue {
     bool live = false;      ///< one-shot pending / timer armed
     bool persistent = false;
     std::uint8_t lane = kLanes;  ///< lane of the timer's last rearm (hint)
+    bool deferred = false;  ///< the filed key carries deferrals_[slot]
+  };
+  /// A timer's deferred arm: the key on file (the carrier, at `carrier`)
+  /// fires no later, and files (at, seq) when it surfaces.
+  struct Deferral {
+    Time carrier = 0;
+    Time at = 0;
+    std::uint64_t seq = 0;
   };
   /// (time, seq) as one integer: time bits high, seq low.
   using Order = unsigned __int128;
@@ -298,6 +323,7 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
       actions_.emplace_back();
+      if (!deferrals_.empty()) deferrals_.resize(slots_.capacity());
       // Keep the free list able to hold every slot without reallocating:
       // release_slot() must stay allocation-free even when a burst of
       // one-shot events drains and the freelist grows past any size seen
@@ -317,21 +343,26 @@ class EventQueue {
     Slot& s = slots_[slot];
     s.live = false;
     s.persistent = false;
+    s.deferred = false;
     s.external = nullptr;
     ++s.gen;
     actions_[slot].reset();
     free_.push_back(slot);
   }
 
-  [[nodiscard]] bool key_live(const Key& k) const {
-    const Slot& s = slots_[k.slot];
-    return s.live && s.gen == k.gen;
-  }
-
   void push_key(Key k) {
     if (live_ >= adapt_at_ && wheel_.max_run_length() >= kCrowdedRun &&
         ticks_per_sec_ < kMaxTicksPerSec) {
       escalate_resolution();
+    }
+    if (wheel_.reclaim_due()) {
+      // Superseded, disarmed and cancelled keys wait in the wheel until
+      // their tick passes; drop them before the node pool grows to hold
+      // them (a deferral's carrier is live and stays).
+      wheel_.reclaim([this](const Key& f) {
+        const Slot& s = slots_[f.slot];
+        return !s.live || s.gen != f.gen;
+      });
     }
     k.time += 0.0;  // -0.0 -> +0.0, whose bits order like the value
     wheel_.insert(k, tick_of(k.time));
@@ -342,10 +373,11 @@ class EventQueue {
   /// sorted run showed the ticks are genuinely too coarse).
   void escalate_resolution();
 
-  /// Bumps the timer's generation (any pending key goes stale) and marks
-  /// it armed.
+  /// Bumps the timer's generation (any pending key goes stale, a
+  /// deferral with it) and marks it armed.
   std::uint32_t supersede(Slot& s) {
     ++s.gen;
+    s.deferred = false;
     if (!s.live) {
       s.live = true;
       ++live_;
@@ -374,6 +406,9 @@ class EventQueue {
 
   std::vector<Slot> slots_;         // slab; addressed by index only
   std::vector<InlineAction> actions_;  // one-shot payloads, by slot
+  /// Deferred arms, by slot: empty until the first deferral, then kept at
+  /// the slab's capacity (a run that never defers pays nothing).
+  std::vector<Deferral> deferrals_;
   std::vector<std::uint32_t> free_;
   Wheel wheel_;
   std::array<Lane, kLanes> lanes_;
@@ -382,6 +417,7 @@ class EventQueue {
   std::array<Order, kLanes> lane_heads_;
   std::uint8_t lanes_used_ = 0;  // lanes_[0, lanes_used_) were claimed
   std::uint64_t lane_inserts_ = 0;
+  std::uint64_t deferred_arms_ = 0;
   double ticks_per_sec_ = kBaseTicksPerSec;
   std::size_t adapt_at_ = kAdaptOccupancy;  // x64 after each escalation
   Time last_pop_time_ = 0;

@@ -25,7 +25,9 @@
 // arm_after() with the same delay as the previous arm_after() (a source's
 // emission period, a port's transmission time) files the key in the event
 // queue's FIFO lane for that delay instead of its timing wheel; any other
-// arm goes to the wheel.  Firing order is (time, seq) either way.
+// arm goes to the wheel, or, when it supersedes a pending arm that fires
+// no later, waits behind that arm's key (EventQueue::arm_timer).  Firing
+// order is (time, seq) either way.
 
 #pragma once
 
@@ -85,8 +87,9 @@ class Timer {
   void arm_at(Time at) {
     assert(sim_ != nullptr && "arming an empty timer");
     assert(at >= sim_->now() - 1e-12 && "arming into the past");
+    const Time prev = expiry_;
     expiry_ = at > sim_->now() ? at : sim_->now();
-    sim_->queue().arm_timer(slot_, expiry_);
+    sim_->queue().arm_timer(slot_, expiry_, prev);
   }
 
   /// (Re-)arms `delay` seconds from now.
@@ -94,12 +97,13 @@ class Timer {
     assert(delay >= 0 && "negative delay");
     assert(sim_ != nullptr && "arming an empty timer");
     const Duration d = delay > 0 ? delay : 0.0;
+    const Time prev = expiry_;
     expiry_ = sim_->now() + d;
     if (d == last_delay_) {
-      sim_->queue().rearm_timer(slot_, expiry_, d);
+      sim_->queue().rearm_timer(slot_, expiry_, d, prev);
     } else {
       last_delay_ = d;
-      sim_->queue().arm_timer(slot_, expiry_);
+      sim_->queue().arm_timer(slot_, expiry_, prev);
     }
   }
 

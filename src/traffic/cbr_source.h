@@ -25,23 +25,29 @@ class CbrSource final : public Source {
             net::FlowStats* stats = nullptr,
             std::optional<TokenBucketSpec> police = std::nullopt)
       : Source(sim, flow, src, dst, std::move(emit), stats, police),
-        config_(config),
+        period_(1.0 / config.rate_pps),
+        packet_bits_(config.packet_bits),
+        limit_(config.limit),
         tick_(sim, [this] { tick(); }) {}
 
   void start(sim::Time at) override { tick_.arm_at(at); }
 
-  void stop() { stopped_ = true; }
+  void stop() override { stopped_ = true; }
+
+  [[nodiscard]] bool idle() const override { return !tick_.pending(); }
 
  private:
   void tick() {
     if (stopped_) return;
-    if (config_.limit != 0 && sent_ >= config_.limit) return;
-    generate(config_.packet_bits);
+    if (limit_ != 0 && sent_ >= limit_) return;
+    generate(packet_bits_);
     ++sent_;
-    tick_.arm_after(1.0 / config_.rate_pps);
+    tick_.arm_after(period_);
   }
 
-  Config config_;
+  sim::Duration period_;  ///< 1 / Config::rate_pps, divided once
+  sim::Bits packet_bits_;
+  std::uint64_t limit_;
   sim::Timer tick_;  ///< the one emission event, re-armed per packet
   std::uint64_t sent_ = 0;
   bool stopped_ = false;

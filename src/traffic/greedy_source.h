@@ -33,7 +33,9 @@ class GreedySource final : public Source {
         tick_(sim, [this] { tick(); }) {}
 
   void start(sim::Time at) override {
+    start_pending_ = true;
     sim_.at(at, [this] {
+      start_pending_ = false;
       // Initial burst: floor(b/p) back-to-back packets.
       const auto burst = static_cast<std::uint64_t>(config_.bucket.depth /
                                                     config_.packet_bits);
@@ -46,7 +48,11 @@ class GreedySource final : public Source {
     });
   }
 
-  void stop() { stopped_ = true; }
+  void stop() override { stopped_ = true; }
+
+  [[nodiscard]] bool idle() const override {
+    return !start_pending_ && !tick_.pending();
+  }
 
  private:
   [[nodiscard]] bool done() const {
@@ -69,6 +75,7 @@ class GreedySource final : public Source {
   Config config_;
   sim::Timer tick_;  ///< token-paced emission, re-armed per packet
   std::uint64_t sent_ = 0;
+  bool start_pending_ = false;  ///< start()'s one-shot has not fired yet
   bool stopped_ = false;
 };
 

@@ -15,7 +15,9 @@ OnOffSource::OnOffSource(sim::Simulator& sim, Config config, sim::Rng rng,
 
 void OnOffSource::start(sim::Time at) {
   // Begin with an idle period so sources with different streams desynchronise.
+  start_pending_ = true;
   sim_.at(at, [this] {
+    start_pending_ = false;
     if (stopped_) return;
     tick_.arm_after(rng_.exponential(config_.mean_idle()));
   });

@@ -56,7 +56,11 @@ class OnOffSource final : public Source {
   void start(sim::Time at) override;
 
   /// Stops generating after the current event chain unwinds.
-  void stop() { stopped_ = true; }
+  void stop() override { stopped_ = true; }
+
+  [[nodiscard]] bool idle() const override {
+    return !start_pending_ && !tick_.pending();
+  }
 
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -69,6 +73,7 @@ class OnOffSource final : public Source {
   /// countdown lives in remaining_ rather than in per-event closures.
   sim::Timer tick_;
   std::uint64_t remaining_ = 0;  ///< packets left in the current burst
+  bool start_pending_ = false;   ///< start()'s one-shot has not fired yet
   bool stopped_ = false;
 };
 

@@ -28,7 +28,9 @@ class PoissonSource final : public Source {
 
   void start(sim::Time at) override { tick_.arm_at(at); }
 
-  void stop() { stopped_ = true; }
+  void stop() override { stopped_ = true; }
+
+  [[nodiscard]] bool idle() const override { return !tick_.pending(); }
 
  private:
   void tick() {

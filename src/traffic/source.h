@@ -51,6 +51,13 @@ class Source {
   /// tear flows down mid-run.
   virtual void stop() = 0;
 
+  /// True when destroying the source leaves no event that refers to it:
+  /// its start event, if start() was called, has fired, and none of its
+  /// timers is pending.  A stopped source becomes idle once its last
+  /// pending emission has fired as a no-op; the scenario runner frees a
+  /// closed flow's source then.
+  [[nodiscard]] virtual bool idle() const = 0;
+
   /// Service class stamped onto each generated packet.
   void set_service(net::ServiceClass service, std::uint8_t priority = 0) {
     service_ = service;

@@ -48,13 +48,17 @@ TcpSource::TcpSource(sim::Simulator& sim, Config config, net::FlowId flow,
           1, static_cast<std::uint64_t>(config.initial_cwnd))) {}
 
 void TcpSource::start(sim::Time at) {
+  start_pending_ = true;
   sim_.at(at, [this] {
+    start_pending_ = false;
+    if (stopped_) return;
     running_ = true;
     send_available();
   });
 }
 
 void TcpSource::stop() {
+  stopped_ = true;
   running_ = false;
   rto_timer_.disarm();
   pace_timer_.disarm();

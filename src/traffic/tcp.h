@@ -71,8 +71,14 @@ class TcpSource final : public Source, public net::FlowSink {
   /// Starts the bulk transfer at `at`.
   void start(sim::Time at) override;
 
-  /// Stops sending new data (outstanding timers become no-ops).
+  /// Stops sending for good: disarms every timer, ignores later ACKs,
+  /// and keeps a start() event that has not fired yet from starting.
   void stop() override;
+
+  [[nodiscard]] bool idle() const override {
+    return !start_pending_ && !rto_timer_.pending() && !pace_timer_.pending() &&
+           !reorder_timer_.pending();
+  }
 
   /// ACK arrival.
   void on_packet(net::PacketPtr p, sim::Time now) override;
@@ -162,6 +168,8 @@ class TcpSource final : public Source, public net::FlowSink {
   std::uint64_t fb_round_len_;
 
   bool running_ = false;
+  bool start_pending_ = false;  ///< start()'s one-shot has not fired yet
+  bool stopped_ = false;
 
   std::uint64_t sent_segments_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -170,6 +170,50 @@ class TimingWheel {
     return advance_until(limit);
   }
 
+  /// True when the next bucketed insert would grow the node pool and at
+  /// least half the pool has been handed out since the last reclaim(), so
+  /// a sweep costs O(1) per insert, amortized.
+  [[nodiscard]] bool reclaim_due() const {
+    return free_.empty() && acquired_ >= meta_.size() / 2;
+  }
+
+  /// Unlinks every bucketed and overflow entry `dead` holds true for and
+  /// returns its node to the pool; entries in the sorted run stay.  A
+  /// caller that leaves superseded entries in place for lazy skipping
+  /// calls this before the pool grows, so the pool tracks the entries
+  /// that can still fire rather than every one filed since they passed.
+  /// Ordering is untouched: a bucket's order is restored by sorting when
+  /// it is pulled.
+  template <typename Dead>
+  void reclaim(Dead dead) {
+    acquired_ = 0;
+    const auto sweep = [&](std::uint32_t& head) {
+      for (std::uint32_t* at = &head; *at != kNil;) {
+        const std::uint32_t n = *at;
+        if (dead(keys_[n])) {
+          *at = meta_[n].next;
+          free_.push_back(n);  // capacity kept at the pool's (acquire_node)
+          --count_;
+        } else {
+          at = &meta_[n].next;
+        }
+      }
+    };
+    for (unsigned level = 0; level < kLevels; ++level) {
+      for (unsigned w = 0; w < kOccWords; ++w) {
+        for (Tick bits = occ_[level * kOccWords + w]; bits != 0;
+             bits &= bits - 1) {
+          const unsigned idx =
+              w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+          std::uint32_t& head = bucket_at(level, idx);
+          sweep(head);
+          if (head == kNil) occ_clear(level, idx);
+        }
+      }
+    }
+    sweep(overflow_);
+  }
+
   /// Removes the entry the last peek_until() returned.  Precondition:
   /// that peek returned an entry.
   void drop_front() {
@@ -290,6 +334,7 @@ class TimingWheel {
   }
 
   std::uint32_t acquire_node() {
+    ++acquired_;
     std::uint32_t n;
     if (free_.empty()) {
       n = static_cast<std::uint32_t>(meta_.size());
@@ -436,6 +481,7 @@ class TimingWheel {
   bool run_active_ = false;
   std::size_t max_run_ = 0;  ///< high-water run size since reset
   std::size_t count_ = 0;
+  std::size_t acquired_ = 0;  ///< nodes handed out since the last reclaim()
   Less less_;
 };
 

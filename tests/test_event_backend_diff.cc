@@ -29,7 +29,14 @@
 //     slice may advance the wheel's cursor ahead of the clock, and later
 //     schedules must still fire in order).  Dyadic delays keep every sum
 //     exact, so arms from different lanes and the wheel keep landing on
-//     the same instant.
+//     the same instant;
+//   * the deferral fuzz — timers re-armed while pending, later than their
+//     pending arm (deferred behind the key on file, often several times
+//     before it surfaces) and earlier (a fresh key), with same-delay
+//     arm_after() (the lane path, which cancels a deferral), arm_after(0),
+//     disarms, destruction and re-creation of a timer (whose slot is
+//     recycled while its old keys are still filed), one-shots on the same
+//     grid, peeks and run slices.
 
 #include <gtest/gtest.h>
 
@@ -62,10 +69,7 @@ class WheelQueue {
         periods_(static_cast<std::size_t>(timers)) {
     timers_.reserve(static_cast<std::size_t>(timers));
     for (std::size_t i = 0; i < static_cast<std::size_t>(timers); ++i) {
-      timers_.emplace_back(sim_, [this, i] {
-        fired.push_back({sim_.now(), timer_tags_[i]});
-        if (periods_[i] > 0) timers_[i].arm_after(periods_[i]);
-      });
+      timers_.push_back(make_timer(i));
     }
   }
 
@@ -89,6 +93,12 @@ class WheelQueue {
     periods_[index(timer)] = period;
   }
   void disarm(int timer) { timers_[index(timer)].disarm(); }
+  /// Destroys the timer and creates a fresh one in its place, which takes
+  /// the slot just freed.
+  void recreate(int timer) {
+    timers_[index(timer)] = sim::Timer();
+    timers_[index(timer)] = make_timer(index(timer));
+  }
   bool step() { return sim_.step(); }
   void run_until(sim::Time end) { sim_.run_until(end); }
   void run_before(sim::Time end) { sim_.run_before(end); }
@@ -104,6 +114,13 @@ class WheelQueue {
  private:
   static std::size_t index(int timer) {
     return static_cast<std::size_t>(timer);
+  }
+
+  sim::Timer make_timer(std::size_t i) {
+    return sim::Timer(sim_, [this, i] {
+      fired.push_back({sim_.now(), timer_tags_[i]});
+      if (periods_[i] > 0) timers_[i].arm_after(periods_[i]);
+    });
   }
 
   sim::Simulator sim_;
@@ -142,6 +159,7 @@ class ReferenceQueue {
   void disarm(int timer) {
     pending_.erase(timer_keys_[static_cast<std::size_t>(timer)]);
   }
+  void recreate(int timer) { disarm(timer); }
   bool step() {
     if (pending_.empty()) return false;
     const auto head = pending_.begin();
@@ -371,6 +389,110 @@ std::vector<Firing> replay_lanes(std::uint64_t seed, Queue& q) {
   return std::move(q.fired);
 }
 
+constexpr int kDeferTimers = 12;
+
+/// Replays the seeded deferral stream through `q` (built with
+/// kDeferTimers timers).  Every time is on a 1/4096 s grid, so arms,
+/// re-arms and one-shots keep colliding on the same instant.  A third of
+/// the timers re-arm themselves periodically; the rest fire once per arm.
+template <typename Queue>
+std::vector<Firing> replay_deferrals(std::uint64_t seed, Queue& q) {
+  std::mt19937_64 rng(seed * 0xD1B54A32D192ED03ull + 11);
+  constexpr double kGrid = 1.0 / 4096;
+  constexpr sim::Duration kSameDelay = 5 * kGrid;
+  int next_tag = 0;
+  std::vector<std::size_t> outstanding;
+  auto pick_timer = [&rng] {
+    return static_cast<int>(rng() % kDeferTimers);
+  };
+  auto grid = [&rng, kGrid](unsigned span) {
+    return kGrid * static_cast<double>(rng() % span);
+  };
+  for (int t = 0; t < kDeferTimers; ++t) {
+    if (t % 3 == 0) q.set_period(t, (1 + t) * kGrid);
+    q.arm(t, grid(64), next_tag++);
+  }
+
+  for (int step = 0; step < 8000; ++step) {
+    switch (rng() % 16) {
+      case 0:
+      case 1: {  // a one-shot on the grid, often at a timer's due instant
+        outstanding.push_back(q.schedule(grid(48), next_tag++));
+        break;
+      }
+      case 2: {  // cancel a random outstanding one-shot
+        if (!outstanding.empty()) {
+          const std::size_t i = rng() % outstanding.size();
+          q.cancel(outstanding[i]);
+          outstanding[i] = outstanding.back();
+          outstanding.pop_back();
+        }
+        break;
+      }
+      case 3:
+      case 4: {  // several re-arms, each later than the last
+        const int t = pick_timer();
+        sim::Time at = q.now() + grid(32);
+        for (int n = 1 + static_cast<int>(rng() % 4); n > 0; --n) {
+          q.arm_at(t, at, next_tag++);
+          at += grid(8);
+        }
+        break;
+      }
+      case 5: {  // an absolute arm, later or earlier than the pending one
+        q.arm_at(pick_timer(), q.now() + grid(64), next_tag++);
+        break;
+      }
+      case 6: {  // a one-off relative arm
+        q.arm(pick_timer(), grid(64), next_tag++);
+        break;
+      }
+      case 7: {  // the same delay twice running: the second takes a lane
+        q.arm(pick_timer(), kSameDelay, next_tag++);
+        break;
+      }
+      case 8: {  // fire at this very instant, behind everything pending
+        q.arm(pick_timer(), 0.0, next_tag++);
+        break;
+      }
+      case 9: {
+        q.disarm(pick_timer());
+        break;
+      }
+      case 10: {  // destroy while armed (perhaps deferred); reuse the slot
+        const int t = pick_timer();
+        q.recreate(t);
+        if (rng() % 2 == 0) q.arm(t, grid(32), next_tag++);
+        break;
+      }
+      case 11: {  // peek at the next event (the sharded engine's min_next)
+        q.fired.push_back({q.next_time(), kPeekTag});
+        break;
+      }
+      case 12: {  // run a slice to a nearby horizon, inclusive or not
+        const sim::Time end = q.now() + grid(40);
+        if (rng() % 2 == 0) {
+          q.run_until(end);
+        } else {
+          q.run_before(end);
+        }
+        q.fired.push_back({q.now(), kSliceTag});
+        break;
+      }
+      default: {  // pop a burst
+        const int n = static_cast<int>(rng() % 6);
+        for (int i = 0; i < n && q.step(); ++i) {
+        }
+        break;
+      }
+    }
+  }
+  for (int t = 0; t < kDeferTimers; ++t) q.set_period(t, 0);
+  while (q.step()) {
+  }
+  return std::move(q.fired);
+}
+
 void expect_same_firings(const std::vector<Firing>& ref,
                          const std::vector<Firing>& got,
                          std::uint64_t seed) {
@@ -408,6 +530,71 @@ TEST(EventBackendDiff, LaneFuzzFiringOrderIdentical) {
     EXPECT_LT(lane_share, 0.95) << "seed " << seed;
     expect_same_firings(ref, got, seed);
   }
+}
+
+TEST(EventBackendDiff, DeferralFuzzFiringOrderIdentical) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ReferenceQueue reference(kDeferTimers);
+    WheelQueue queue(kDeferTimers);
+    const auto ref = replay_deferrals(seed, reference);
+    const auto got = replay_deferrals(seed, queue);
+    EXPECT_GT(ref.size(), 5000u);
+    // The stream must actually defer re-arms, and file fresh keys beside
+    // them, or it proves nothing about the hand-over.
+    const double deferred_share =
+        static_cast<double>(queue.queue().deferred_arms()) /
+        static_cast<double>(queue.queue().total_scheduled());
+    EXPECT_GT(deferred_share, 0.1) << "seed " << seed;
+    EXPECT_LT(deferred_share, 0.6) << "seed " << seed;
+    EXPECT_GT(queue.queue().lane_inserts(), 0u) << "seed " << seed;
+    expect_same_firings(ref, got, seed);
+  }
+}
+
+// Re-arming a pending timer for later keeps its filed key; when that key
+// surfaces the deferred arm is filed in its place.  One-shots scheduled
+// at the deferred instant before and after the deferring arm fire on
+// either side of it.
+TEST(EventBackendDiff, DeferredRearmKeepsSchedulingOrder) {
+  sim::Simulator sim;
+  std::vector<Firing> fired;
+  sim::Timer a(sim, [&] { fired.push_back({sim.now(), 0}); });
+  a.arm_at(1.0);
+  sim.at(2.0, [&] { fired.push_back({sim.now(), 1}); });
+  a.arm_at(3.0);  // later: deferred behind the key at 1.0
+  a.arm_at(2.0);  // no earlier than the filed key: deferred again
+  sim.at(2.0, [&] { fired.push_back({sim.now(), 2}); });
+  EXPECT_EQ(sim.queue().deferred_arms(), 2u);
+  EXPECT_EQ(sim.queue().next_time(), 2.0);  // the key at 1.0 is skipped
+  EXPECT_TRUE(a.pending());
+  sim.run_until(10.0);
+  const std::vector<Firing> want = {{2.0, 1}, {2.0, 0}, {2.0, 2}};
+  EXPECT_TRUE(fired == want);
+}
+
+// A deferred arm dies with its timer: disarming, or destroying the timer
+// and reusing its slot, must leave nothing behind to fire.
+TEST(EventBackendDiff, DisarmAndDestroyCancelADeferral) {
+  sim::Simulator sim;
+  int fired = 0;
+  sim::Timer a(sim, [&] { ++fired; });
+  a.arm_at(1.0);
+  a.arm_at(2.0);
+  EXPECT_TRUE(a.disarm());
+  EXPECT_FALSE(a.pending());
+  sim.run_until(5.0);
+  EXPECT_EQ(fired, 0);
+
+  a.arm_at(6.0);
+  a.arm_at(7.0);
+  a = sim::Timer();  // destroyed while deferred
+  sim::Timer b(sim, [&] { fired += 10; });  // takes the freed slot
+  EXPECT_TRUE(sim.idle());
+  sim.run_until(10.0);
+  EXPECT_EQ(fired, 0);
+  b.arm_at(11.0);
+  sim.run_until(12.0);
+  EXPECT_EQ(fired, 10);
 }
 
 // A peek bounded by a lane head may move the wheel's cursor up to that

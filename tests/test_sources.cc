@@ -129,6 +129,42 @@ TEST(OnOffSource, StopHaltsGeneration) {
   EXPECT_EQ(sink.count, count);
 }
 
+// The start event captures the source, so a source stopped before it
+// fires is not idle (not safe to free) until it has; after that the
+// stopped source arms nothing.
+TEST(OnOffSource, StoppedBeforeStartIsIdleOnlyOnceStartFires) {
+  sim::Simulator sim;
+  Collector sink;
+  OnOffSource src(sim, {}, sim::Rng(5), 0, 0, 1, sink.emit(), nullptr,
+                  std::nullopt);
+  EXPECT_TRUE(src.idle());  // never started: nothing refers to it
+  src.start(1.0);
+  src.stop();
+  EXPECT_FALSE(src.idle());
+  sim.run_until(0.5);
+  EXPECT_FALSE(src.idle());
+  sim.run_until(1.0);
+  EXPECT_TRUE(src.idle());
+  sim.run_until(10.0);
+  EXPECT_EQ(sink.count, 0u);
+}
+
+// A source stopped mid-run is idle once its pending emission has fired
+// as a no-op.
+TEST(OnOffSource, StoppedSourceIsIdleAfterItsPendingTick) {
+  sim::Simulator sim;
+  Collector sink;
+  OnOffSource src(sim, {}, sim::Rng(5), 0, 0, 1, sink.emit(), nullptr,
+                  std::nullopt);
+  src.start(0);
+  sim.run_until(5.0);
+  ASSERT_GT(sink.count, 0u);
+  src.stop();
+  EXPECT_FALSE(src.idle());  // the next emission is still armed
+  sim.run_until(20.0);
+  EXPECT_TRUE(src.idle());
+}
+
 class OnOffRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(OnOffRateSweep, AverageRateTracksConfiguredA) {

@@ -106,6 +106,49 @@ TEST(Tcp, StopCeasesTransmission) {
   EXPECT_EQ(h.source->sent_segments(), sent);
 }
 
+// A flow closed before its start instant (an orphan at open, a batch flow
+// with a start offset) must never send: stop() keeps the pending start
+// event from starting the transfer.  Before the guard this standalone
+// source sent 3 segments and took 2 timeouts by t = 5.
+TEST(Tcp, StopBeforeStartNeverSends) {
+  sim::Simulator sim;
+  std::uint64_t emitted = 0;
+  TcpSource src(sim, TcpSource::Config(), 1, 0, 1,
+                [&emitted](net::PacketPtr) { ++emitted; });
+  src.start(1.0);
+  src.stop();
+  sim.run_until(5.0);
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_EQ(src.sent_segments(), 0u);
+  EXPECT_EQ(src.timeouts(), 0u);
+  EXPECT_FALSE(src.rto_pending());
+}
+
+// The start event captures the source, so a source stopped before it
+// fires is not idle (not safe to free) until it has.
+TEST(Tcp, StoppedBeforeStartIsIdleOnlyOnceStartFires) {
+  sim::Simulator sim;
+  TcpSource src(sim, TcpSource::Config(), 1, 0, 1, [](net::PacketPtr) {});
+  EXPECT_TRUE(src.idle());  // never started: nothing refers to it
+  src.start(1.0);
+  src.stop();
+  EXPECT_FALSE(src.idle());
+  sim.run_until(0.5);
+  EXPECT_FALSE(src.idle());
+  sim.run_until(1.0);
+  EXPECT_TRUE(src.idle());
+}
+
+// stop() disarms every timer, so a running source is idle right away.
+TEST(Tcp, StopMakesARunningSourceIdle) {
+  TcpHarness h;
+  h.source->start(0);
+  h.net.sim().run_until(1.0);
+  EXPECT_FALSE(h.source->idle());  // its RTO is pending
+  h.source->stop();
+  EXPECT_TRUE(h.source->idle());
+}
+
 TEST(Tcp, DeterministicAcrossRuns) {
   auto run = [] {
     TcpHarness h(50);
