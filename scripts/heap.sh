@@ -13,9 +13,10 @@
 # peak resident set (after finish(), so every flow ever offered is still
 # held by the runner), the library writes the bytes still allocated per
 # call site; this script symbolizes the sites with addr2line and prints
-# the total and the top 20.  A site is the return address of the
-# operator new call: its function, and the function that function was
-# inlined into when they differ.  Sizes are the bytes requested.
+# the total and the top 20.  A site is the function holding the return
+# address of the operator new call; with debug info, addr2line also
+# names the inlined function the call sits in ("outer <- inner").  Sizes
+# are the bytes requested.
 
 set -euo pipefail
 
